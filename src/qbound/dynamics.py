@@ -14,12 +14,8 @@ import math
 
 import numpy as np
 
-from . import linalg, sdp
-from .qcore import DensityOperator, KrausChannel, choi_of
-
-
-def _mat(rho):
-    return rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+from . import infomeasures, linalg, sdp
+from .qcore import KrausChannel, as_matrix, choi_of
 
 
 def _const(x):
@@ -85,7 +81,7 @@ def evolve(gen, rho0, t_grid, local_err=1e-9):
 
     :return: list of states (arrays), one per grid time.
     """
-    rho = np.array(_mat(rho0), dtype=complex)
+    rho = np.array(as_matrix(rho0), dtype=complex)
     t_grid = [float(t) for t in t_grid]
     t = t_grid[0]
     out = [rho.copy()]
@@ -115,13 +111,13 @@ def evolve(gen, rho0, t_grid, local_err=1e-9):
 
 def entropy_rate(rho, rhodot):
     """-Tr{rhodot log rho} in nats, log restricted to the support."""
-    R = _mat(rho)
+    R = as_matrix(rho)
     L = linalg.matrix_fn_on_support(R, math.log)
     return float(-np.real(np.trace(np.asarray(rhodot) @ L)))
 
 
 def support_projector(rho, cut=1e-10):
-    R = _mat(rho)
+    R = as_matrix(rho)
     w, V = linalg.eigh(R)
     keep = w > cut * max(w.max(), np.finfo(float).tiny)
     Vk = V[:, keep]
@@ -136,7 +132,7 @@ def markov_lower_bound(gen, t, rho, method="projector"):
     projector. commutator form (full-rank states): the same number as
     sum_i gamma_i <[A_i^dag, A_i]>.
     """
-    R = _mat(rho)
+    R = as_matrix(rho)
     if method == "projector":
         Pi = support_projector(R)
         return float(-np.real(np.trace(Pi @ gen.adjoint_apply(t, R))))
@@ -154,7 +150,7 @@ def witness_f(gen, t, rho, rhodot=None):
     Entropy rate minus its divisibility lower bound; negative values
     witness departure from (completely) divisible dynamics.
     """
-    R = _mat(rho)
+    R = as_matrix(rho)
     if rhodot is None:
         rhodot = gen.apply(t, R)
     Pi = support_projector(R)
@@ -218,7 +214,7 @@ def blp_measure(ts, distances):
 
 def blp_for_family(channel_at, rho_a, rho_b, ts):
     """BLP integrand for a one-parameter channel family channel_at(t)."""
-    Ra, Rb = _mat(rho_a), _mat(rho_b)
+    Ra, Rb = as_matrix(rho_a), as_matrix(rho_b)
     Ds = []
     for t in ts:
         ch = channel_at(t)
@@ -304,15 +300,6 @@ def oscillatory_trajectory(t):
 # entropy-change bounds and diamond-norm based nonunitarity
 # ---------------------------------------------------------------------------
 
-def _rel_ent_nats(R, S):
-    wr, Vr = linalg.eigh(R)
-    cut = 1e-12 * max(np.abs(wr).max(), np.finfo(float).tiny)
-    t1 = sum(v * math.log(v) for v in wr if v > cut)
-    Ls = linalg.matrix_fn_on_support(S, math.log)
-    # support check left to the caller; used on full-rank arguments
-    return float(t1 - np.real(np.trace(R @ Ls)))
-
-
 def entropy_change_bounds(ch, rho):
     """
     Chain of bounds (nats) on Delta S = S(M(rho)) - S(rho) for a channel
@@ -322,16 +309,11 @@ def entropy_change_bounds(ch, rho):
         <= Tr{[rho - M^dag M(rho)] log rho}
         <= ||rho - M^dag M(rho)||_1 ||log rho||_inf.
     """
-    R = _mat(rho)
+    R = as_matrix(rho)
     MR = ch.apply(R)
     back = ch.adjoint_apply(MR)
-
-    def ent(M):
-        w = np.linalg.eigvalsh(M)
-        return float(-sum(v * math.log(v) for v in w if v > 1e-15))
-
-    delta = ent(MR) - ent(R)
-    lower = _rel_ent_nats(R, back)
+    delta = infomeasures.entropy(MR, base='nats') - infomeasures.entropy(R, base='nats')
+    lower = infomeasures.relative_entropy(R, back, base='nats')
     LR = linalg.matrix_fn_on_support(R, math.log)
     mid = float(np.real(np.trace((R - back) @ LR)))
     upper = linalg.schatten_norm(R - back, 1) * linalg.schatten_norm(LR, np.inf)

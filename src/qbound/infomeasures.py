@@ -12,14 +12,11 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import linalg, sdp
-from .qcore import DensityOperator
+from .qcore import as_matrix
 
 INF = math.inf
 _CUT = 1e-12
-
-
-def _mat(rho):
-    return rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+SANDWICH_FLOOR = 1e-12  # eigenvalue floor of sigma in sandwiched_objective
 
 
 def _logfn(base):
@@ -38,14 +35,14 @@ def entropy(rho, base='bits'):
     :param base: 'bits' or 'nats'.
     """
     log = _logfn(base)
-    w = np.linalg.eigvalsh(_mat(rho))
+    w = np.linalg.eigvalsh(as_matrix(rho))
     cut = _CUT * max(w.max(), 1e-300)
     return float(-sum(v * log(v) for v in w if v > cut))
 
 
 def _support_violation(rho, sigma):
     """Weight of rho outside the support of sigma."""
-    R, S = _mat(rho), _mat(sigma)
+    R, S = as_matrix(rho), as_matrix(sigma)
     w, V = np.linalg.eigh(S)
     cut = _CUT * max(abs(w).max(), 1e-300)
     kern = V[:, w <= cut]
@@ -56,7 +53,7 @@ def _support_violation(rho, sigma):
 
 def relative_entropy(rho, sigma, base='bits'):
     """D(rho||sigma) = Tr{rho [log rho - log sigma]}; inf on support violation."""
-    R, S = _mat(rho), _mat(sigma)
+    R, S = as_matrix(rho), as_matrix(sigma)
     if _support_violation(R, S) > 1e-10:
         return INF
     log = _logfn(base)
@@ -75,7 +72,7 @@ def relative_entropy(rho, sigma, base='bits'):
 
 def dmax(rho, sigma):
     """Max-relative entropy log2 min{lambda: rho <= 2^lambda sigma} in bits."""
-    R, S = _mat(rho), _mat(sigma)
+    R, S = as_matrix(rho), as_matrix(sigma)
     if _support_violation(R, S) > 1e-10:
         return INF
     Sinv = linalg.matrix_fn_on_support(S, lambda x: x ** -0.5)
@@ -91,7 +88,7 @@ def sandwiched_renyi(rho, sigma, alpha):
         raise ValueError("alpha must be positive and different from 1")
     if abs(alpha - 1) <= 1e-4:
         return relative_entropy(rho, sigma)
-    R, S = _mat(rho), _mat(sigma)
+    R, S = as_matrix(rho), as_matrix(sigma)
     if alpha > 1 and _support_violation(R, S) > 1e-10:
         return INF
     e = (1 - alpha) / (2 * alpha)
@@ -103,6 +100,44 @@ def sandwiched_renyi(rho, sigma, alpha):
     return float(logtr / ((alpha - 1) * np.log(2)))
 
 
+def sandwiched_objective(sigma, probs, states, alpha):
+    """
+    Floored sandwiched objective log2(sum_x p_x Tr{Q_x^alpha}) / (alpha-1),
+    Q_x = sigma^e rho_x sigma^e with e = (1-alpha)/(2 alpha), and its
+    gradient in sigma, for the first-order minimizations over sigma.
+
+    With one state it is D_alpha(rho||sigma); over a cq ensemble it is the
+    divergence between the joint state and p (x) sigma. The eigenvalues of
+    sigma are floored at SANDWICH_FLOOR times the largest, and those of Q_x
+    below 1e-16 times the largest count as zero. The gradient is
+    alpha D(sigma^e)[sum_x p_x (rho_x sigma^e Q_x^(alpha-1) + h.c.)]
+    / ((alpha-1) ln 2 sum_x p_x Tr{Q_x^alpha}), with D the Frechet
+    derivative of x -> x^e (linalg.frechet_derivative).
+
+    :return: (value in bits, Hermitian gradient).
+    """
+    e = (1 - alpha) / (2 * alpha)
+    ws, Vs = np.linalg.eigh(sigma)
+    ws = np.maximum(ws, SANDWICH_FLOOR * max(ws.max(), 1e-300))
+    Se = (Vs * ws ** e) @ Vs.conj().T
+    tot = 0.0
+    K = np.zeros_like(Se)
+    for p, rho in zip(probs, states):
+        if p <= 0:
+            continue
+        R = as_matrix(rho)
+        q, U = np.linalg.eigh(Se @ R @ Se)
+        keep = q > 1e-16 * max(abs(q).max(), 1e-300)
+        q, U = q[keep], U[:, keep]
+        tot += p * np.sum(q ** alpha)
+        M = R @ Se @ (U * q ** (alpha - 1)) @ U.conj().T
+        K += p * (M + M.conj().T)
+    dSe = linalg.frechet_derivative(ws, Vs, lambda x: x ** e,
+                                    lambda x: e * x ** (e - 1), K)
+    return (float(np.log2(tot) / (alpha - 1)),
+            alpha * dSe / ((alpha - 1) * np.log(2) * tot))
+
+
 def hypothesis_testing(rho, sigma, eps, tol=1e-8):
     """
     eps-hypothesis-testing divergence, solved as an SDP.
@@ -112,7 +147,7 @@ def hypothesis_testing(rho, sigma, eps, tol=1e-8):
     """
     if not 0 <= eps < 1:
         raise ValueError("eps must be in [0, 1)")
-    R, S = _mat(rho), _mat(sigma)
+    R, S = as_matrix(rho), as_matrix(sigma)
     d = R.shape[0]
     m = sdp.Model()
     lam = m.var(d)
@@ -131,7 +166,7 @@ def hypothesis_testing(rho, sigma, eps, tol=1e-8):
 
 def conditional_entropy(rho, dims, cond, base='bits'):
     """S(rest | cond) for the subsystem split dims."""
-    R = _mat(rho)
+    R = as_matrix(rho)
     cond = sorted(set(cond))
     Rc = linalg.partial_trace(R, dims, cond)
     return entropy(R, base) - entropy(Rc, base)
@@ -139,7 +174,7 @@ def conditional_entropy(rho, dims, cond, base='bits'):
 
 def mutual_information(rho, dims, base='bits'):
     """I(A;B) for a bipartite split dims = (dA, dB)."""
-    R = _mat(rho)
+    R = as_matrix(rho)
     if len(dims) != 2:
         raise ValueError("expected a bipartite split")
     SA = entropy(linalg.partial_trace(R, dims, [0]), base)
@@ -149,7 +184,7 @@ def mutual_information(rho, dims, base='bits'):
 
 def conditional_mutual_information(rho, dims, base='bits'):
     """I(A;B|C) for a tripartite split dims = (dA, dB, dC)."""
-    R = _mat(rho)
+    R = as_matrix(rho)
     if len(dims) != 3:
         raise ValueError("expected a tripartite split")
     SAC = entropy(linalg.partial_trace(R, dims, [0, 2]), base)
@@ -160,7 +195,7 @@ def conditional_mutual_information(rho, dims, base='bits'):
 
 def coherent_information(rho, dims, base='bits'):
     """I(A>B) = S(B) - S(AB) for dims = (dA, dB)."""
-    R = _mat(rho)
+    R = as_matrix(rho)
     SB = entropy(linalg.partial_trace(R, dims, [1]), base)
     return SB - entropy(R, base)
 
@@ -171,24 +206,24 @@ def cq_state(probs, states):
     if probs.min() < -1e-12 or abs(probs.sum() - 1) > 1e-12:
         raise ValueError("probabilities must form a simplex vector")
     n = len(probs)
-    d = _mat(states[0]).shape[0]
+    d = as_matrix(states[0]).shape[0]
     out = np.zeros((n * d, n * d), dtype=complex)
     for x, (p, st) in enumerate(zip(probs, states)):
-        out[x * d:(x + 1) * d, x * d:(x + 1) * d] = p * _mat(st)
+        out[x * d:(x + 1) * d, x * d:(x + 1) * d] = p * as_matrix(st)
     return out
 
 
 def holevo(probs, states, base='bits'):
     """Holevo quantity S(avg) - sum p S(rho_x)."""
     probs = np.asarray(probs, dtype=float)
-    avg = sum(p * _mat(st) for p, st in zip(probs, states))
+    avg = sum(p * as_matrix(st) for p, st in zip(probs, states))
     return entropy(avg, base) - float(sum(p * entropy(st, base)
                                           for p, st in zip(probs, states) if p > 0))
 
 
 def rel_entropy_variance(rho, sigma):
     """V(rho||sigma) = Tr{rho (log2 rho - log2 sigma - D)^2} in bits^2."""
-    R, S = _mat(rho), _mat(sigma)
+    R, S = as_matrix(rho), as_matrix(sigma)
     if _support_violation(R, S) > 1e-10:
         raise ValueError("support of rho not contained in support of sigma")
     L = (linalg.matrix_fn_on_support(R, np.log2)
@@ -200,14 +235,14 @@ def rel_entropy_variance(rho, sigma):
 
 def fidelity(rho, sigma):
     """Uhlmann fidelity ||sqrt(rho) sqrt(sigma)||_1^2."""
-    R, S = _mat(rho), _mat(sigma)
+    R, S = as_matrix(rho), as_matrix(sigma)
     sr = linalg.matrix_fn_on_support(R, np.sqrt)
     ss = linalg.matrix_fn_on_support(S, np.sqrt)
     return float(min(linalg.schatten_norm(sr @ ss, 1) ** 2, 1.0 + 1e-9))
 
 
 def trace_distance(rho, sigma):
-    return 0.5 * linalg.schatten_norm(_mat(rho) - _mat(sigma), 1)
+    return 0.5 * linalg.schatten_norm(as_matrix(rho) - as_matrix(sigma), 1)
 
 
 def metric_checks(rho, sigma):
@@ -255,7 +290,7 @@ def afw_check(rho, sigma, dims):
     |S(A|B)_rho - S(A|B)_sigma| <= 2 eps log2 dA + g(eps), eps the trace
     distance. Returns the two sides and the slack.
     """
-    R, S = _mat(rho), _mat(sigma)
+    R, S = as_matrix(rho), as_matrix(sigma)
     dA = dims[0]
     eps = trace_distance(R, S)
     lhs = abs(conditional_entropy(R, dims, [1]) - conditional_entropy(S, dims, [1]))
@@ -306,7 +341,7 @@ def squashed_surrogate_check(rho, dims, eps):
     to the distance bound (2 sqrt(eps ln|A|))^{1/2} against the best
     Schmidt-aligned maximally entangled state.
     """
-    R = _mat(rho)
+    R = as_matrix(rho)
     dA, dB = dims
     half_mi = mutual_information(R, dims) / 2
     if half_mi < (1 - eps) * np.log2(dA):

@@ -1,14 +1,16 @@
 """Dense complex Hermitian linear algebra kernel.
 
-Eigendecompositions, matrix functions restricted to the support,
-tensor-product bookkeeping (kron / partial trace / partial transpose)
-and Schatten norms. Everything works on plain numpy arrays; subsystem 0
-is the most significant tensor index throughout.
+Eigendecompositions, matrix functions restricted to the support and
+their Frechet derivatives, tensor-product bookkeeping (kron / partial
+trace / partial transpose) and Schatten norms. Everything works on plain
+numpy arrays; subsystem 0 is the most significant tensor index
+throughout.
 """
 import numpy as np
 
 SUPPORT_CUT = 1e-12  # relative to the largest eigenvalue magnitude
 HERM_TOL = 1e-10
+TIE_CUT = 1e-8  # about sqrt(machine eps): relative gap below which eigenvalues tie
 
 
 def _as_matrix(M):
@@ -61,6 +63,34 @@ def matrix_fn_on_support(H, f, support_cut=SUPPORT_CUT):
     if not np.all(np.isfinite(fvals)):
         raise ValueError("function undefined at a retained eigenvalue")
     return (vecs * fvals) @ vecs.conj().T
+
+
+def frechet_derivative(w, V, f, df, H):
+    """
+    Frechet derivative of A -> f(A) at A = V diag(w) V^dag in the Hermitian
+    direction H, by the Daleckii-Krein formula V (Gamma o V^dag H V) V^dag.
+
+    Gamma holds the first divided differences (f(w_i) - f(w_j)) / (w_i - w_j);
+    where w_i and w_j agree to TIE_CUT relative, df at their midpoint
+    replaces the difference quotient, which cancellation would spoil. The
+    map is self-adjoint, so with H = K it is also the gradient of
+    A -> Tr{K f(A)} for Hermitian K.
+
+    :param w: eigenvalues of A (real, inside the domain of f).
+    :param V: unitary matrix of column eigenvectors of A.
+    :param f: vectorized scalar function.
+    :param df: its vectorized derivative.
+    :param H: Hermitian direction.
+    :return: the Hermitian matrix D f(A)[H].
+    """
+    w = np.asarray(w, dtype=float)
+    fw = f(w)
+    dw = w[:, None] - w[None, :]
+    tie = np.abs(dw) <= TIE_CUT * np.maximum(np.abs(w[:, None]), np.abs(w[None, :]))
+    Gamma = np.where(tie, df((w[:, None] + w[None, :]) / 2),
+                     (fw[:, None] - fw[None, :]) / np.where(tie, 1.0, dw))
+    G = V @ (Gamma * (V.conj().T @ H @ V)) @ V.conj().T
+    return (G + G.conj().T) / 2
 
 
 def kron(*mats):

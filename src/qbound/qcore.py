@@ -76,6 +76,11 @@ class DensityOperator:
             subnormalized=self.subnormalized)
 
 
+def as_matrix(rho):
+    """The complex matrix of a DensityOperator or of any array-like."""
+    return rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+
+
 def random_density(d, rng, rank=None, dims=None):
     """Haar-ish random state: normalized GG^dag with G complex Gaussian."""
     rank = rank or d
@@ -110,7 +115,7 @@ class KrausChannel:
                 raise ValueError("Kraus operators exceed trace preservation")
 
     def apply(self, rho):
-        R = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
+        R = as_matrix(rho)
         out = sum(K @ R @ K.conj().T for K in self.kraus)
         return out
 
@@ -133,7 +138,7 @@ class ChoiOperator:
 
     def output_of(self, rho):
         """Apply the channel through the Choi operator."""
-        R = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
+        R = as_matrix(rho)
         d, do = self.in_dim, self.out_dim
         T = self.matrix.reshape(d, do, d, do)
         return np.einsum('iajb,ij->ab', T, R)
@@ -167,7 +172,7 @@ class IsometricExtension:
         return KrausChannel(K)
 
     def env_state(self, rho):
-        R = rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho)
+        R = as_matrix(rho)
         full = self.matrix @ R @ self.matrix.conj().T
         return linalg.partial_trace(full, (self.out_dim, self.env_dim), [1])
 
@@ -491,7 +496,7 @@ def teleport_simulate(ch, rho_in, in_rep=None, out_rep=None):
         raise ValueError("channel not covariant under the given reps "
                          "(residual %.2e)" % res)
 
-    R = rho_in.matrix if isinstance(rho_in, DensityOperator) else np.asarray(rho_in)
+    R = as_matrix(rho_in)
     J = choi_of(base).matrix
     omega = J / d  # normalized Choi resource on R (x) out
     do = base.out_dim

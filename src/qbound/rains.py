@@ -13,12 +13,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import linalg, sdp
-from .infomeasures import binary_entropy
-from .qcore import DensityOperator, choi_of
-
-
-def _mat(rho):
-    return rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
+from .infomeasures import binary_entropy, sandwiched_objective
+from .qcore import DensityOperator, as_matrix, choi_of
 
 
 def rmax_state(rho, dims, tol=1e-8):
@@ -31,7 +27,7 @@ def rmax_state(rho, dims, tol=1e-8):
     :param dims: (dA, dB).
     :return: (value, {"C": C, "D": D}) with feasible witnesses.
     """
-    R = _mat(rho)
+    R = as_matrix(rho)
     n = R.shape[0]
     TB = lambda X: linalg.partial_transpose(X, dims, [1])
     m = sdp.Model()
@@ -149,7 +145,7 @@ def emax_ppt(rho, dims, tol=1e-8):
     minimize log2 Tr{sigma''} s.t. sigma'' >= rho, sigma'' >= 0,
     T_B sigma'' >= 0. Lower-bounds the SEP-based quantity.
     """
-    R = _mat(rho)
+    R = as_matrix(rho)
     n = R.shape[0]
     TB = lambda X: linalg.partial_transpose(X, dims, [1])
     m = sdp.Model()
@@ -204,17 +200,10 @@ def _safe_rel_ent(R, sigma, floor=1e-14):
 
 
 def _rel_ent_gradient(R, sigma, floor=1e-14):
-    """Gradient of sigma -> -Tr{R log2 sigma} (divided differences)."""
+    """Gradient of sigma -> -Tr{R log2 sigma} (Daleckii-Krein)."""
     ws, Vs = np.linalg.eigh(sigma)
     ws = np.maximum(ws, floor * max(ws.max(), 1e-300))
-    Rt = Vs.conj().T @ R @ Vs
-    Phi = np.empty((len(ws), len(ws)))
-    for i, a in enumerate(ws):
-        for j, b in enumerate(ws):
-            Phi[i, j] = 1.0 / a if abs(a - b) < 1e-15 * a else \
-                (np.log(a) - np.log(b)) / (a - b)
-    G = -(Vs @ (Rt * Phi) @ Vs.conj().T) / np.log(2)
-    return (G + G.conj().T) / 2
+    return -linalg.frechet_derivative(ws, Vs, np.log, np.reciprocal, R) / np.log(2)
 
 
 def _frank_wolfe(f, grad, sigma0, dims, gap_tol=1e-5, max_iter=500):
@@ -245,7 +234,7 @@ def rains_relative_entropy(rho, dims, gap_tol=1e-5, max_iter=500):
         final iterate, the Frank-Wolfe duality-gap estimate, and a
         convergence flag.
     """
-    R = _mat(rho)
+    R = as_matrix(rho)
     n = R.shape[0]
     sigma0 = np.eye(n, dtype=complex) / n
     f = lambda s: _safe_rel_ent(R, s)
@@ -258,36 +247,17 @@ def rains_relative_entropy(rho, dims, gap_tol=1e-5, max_iter=500):
 def sandwiched_rains(rho, dims, alpha, gap_tol=1e-5, max_iter=500):
     """
     Sandwiched Rains relative entropy over PPT' (alpha > 1), Frank-Wolfe
-    with a finite-difference gradient.
+    with an analytic gradient.
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
-    R = _mat(rho)
+    R = as_matrix(rho)
     n = R.shape[0]
-    e = (1 - alpha) / (2 * alpha)
-    floor = 1e-12
-
-    def f(sigma):
-        ws, Vs = np.linalg.eigh(sigma)
-        ws = np.maximum(ws, floor * max(ws.max(), 1e-300))
-        Se = (Vs * ws ** e) @ Vs.conj().T
-        w = np.linalg.eigvalsh(Se @ R @ Se)
-        w = w[w > 1e-16 * max(abs(w).max(), 1e-300)]
-        return float(np.log2(np.sum(w ** alpha)) / (alpha - 1))
-
-    basis = sdp.hermitian_basis(n)
-
-    def grad(sigma):
-        h = 1e-6
-        G = np.zeros((n, n), dtype=complex)
-        for B in basis:
-            d = (f(sigma + h * B) - f(sigma - h * B)) / (2 * h)
-            G += d * B
-        return G
-
+    obj = lambda s: sandwiched_objective(s, [1.0], [R], alpha)
     sigma0 = np.eye(n, dtype=complex) / n
-    sigma, gap, its, ok = _frank_wolfe(f, grad, sigma0, dims, gap_tol, max_iter)
-    return {"value": f(sigma), "sigma": sigma, "gap": gap,
+    sigma, gap, its, ok = _frank_wolfe(lambda s: obj(s)[0], lambda s: obj(s)[1],
+                                       sigma0, dims, gap_tol, max_iter)
+    return {"value": obj(sigma)[0], "sigma": sigma, "gap": gap,
             "iterations": its, "converged": ok}
 
 
@@ -301,7 +271,7 @@ def amortization_spotcheck(N, rho, dims, tol=1e-8):
     :param rho: state on (L_A, A', B', L_B).
     :param dims: those four dimensions.
     """
-    R = _mat(rho)
+    R = as_matrix(rho)
     la, ain, bin_, lb = dims
     a, b = N.out_split
     out = np.zeros((la * a * b * lb,) * 2, dtype=complex)
@@ -341,7 +311,7 @@ def make_private_state(K, theta, twists=None):
     Systems ordered (K_A, K_B, shields). theta is the shield state; the
     twists map (i, j) -> unitary on the shields.
     """
-    th = _mat(theta)
+    th = as_matrix(theta)
     ds = th.shape[0]
     U = _twist_unitary(K, twists or {}, ds)
     phi = np.zeros((K * K, K * K), dtype=complex)
@@ -363,7 +333,7 @@ def privacy_test_operator(K, shield_dim, twists=None):
 
 
 def privacy_overlap(Pi, rho):
-    return float(np.real(np.trace(np.asarray(Pi) @ _mat(rho))))
+    return float(np.real(np.trace(np.asarray(Pi) @ as_matrix(rho))))
 
 
 def converse_rate_bounds(kind, quantity, n, eps, alpha=None):

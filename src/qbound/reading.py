@@ -10,18 +10,15 @@ import math
 import numpy as np
 from scipy.stats import norm
 
-from . import linalg, sdp
+from . import linalg
 from .infomeasures import (binary_entropy, cq_state, entropy, g_fn, holevo,
                            mutual_information, coherent_information,
                            conditional_mutual_information, relative_entropy,
-                           rel_entropy_variance)
-from .qcore import (DensityOperator, IsometricExtension, KrausChannel,
+                           rel_entropy_variance, sandwiched_objective,
+                           SANDWICH_FLOOR)
+from .qcore import (IsometricExtension, KrausChannel, as_matrix,
                     choi_of, covariance_check, depolarizing, gadc,
                     isometric_extension, max_ent_state, hw_group)
-
-
-def _mat(rho):
-    return rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
 
 
 class MemoryCell:
@@ -60,7 +57,7 @@ class MemoryCell:
 
     def output_states(self, probe):
         """[N_x(probe)] for a probe on the cell input."""
-        P = _mat(probe)
+        P = as_matrix(probe)
         return [ch.apply(P) for ch in self.channels]
 
     def probe_outputs(self, psi):
@@ -103,7 +100,7 @@ class EnvCell:
     """
 
     def __init__(self, theta_states, interaction, cell=None, tol=1e-9):
-        self.theta = [_mat(t) for t in theta_states]
+        self.theta = [as_matrix(t) for t in theta_states]
         self.interaction = interaction
         if cell is not None:
             din = cell.in_dim
@@ -157,7 +154,7 @@ def blahut_arimoto(states, tol=1e-10, kkt_tol=1e-8, max_iter=20000):
 
     :return: dict with capacity (bits), optimal p, iterations.
     """
-    states = [_mat(s) for s in states]
+    states = [as_matrix(s) for s in states]
     m = len(states)
     if m == 0:
         raise ValueError("need at least one state")
@@ -166,9 +163,7 @@ def blahut_arimoto(states, tol=1e-10, kkt_tol=1e-8, max_iter=20000):
     cap = 0.0
     for it in range(1, max_iter + 1):
         avg = sum(pi * s for pi, s in zip(p, states))
-        divs = np.array([relative_entropy(s, avg) if pi > 0 else
-                         relative_entropy(s, avg)
-                         for pi, s in zip(p, states)])
+        divs = np.array([relative_entropy(s, avg) for s in states])
         cap = float(np.dot(p, divs))
         resid = float(divs.max() - cap)
         if abs(cap - prev) < tol and resid <= kkt_tol:
@@ -234,7 +229,7 @@ def second_order_bound(states, n, eps, probs=None):
     """
     if n < 1 or not 0 < eps < 1:
         raise ValueError("require n >= 1 and eps in (0,1)")
-    states = [_mat(s) for s in states]
+    states = [as_matrix(s) for s in states]
     if probs is None:
         probs = blahut_arimoto(states)["p"]
     probs = np.asarray(probs, dtype=float)
@@ -258,49 +253,23 @@ def renyi_mutual_information(probs, states, alpha, residual_tol=1e-7,
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     probs = np.asarray(probs, dtype=float)
-    states = [_mat(s) for s in states]
+    states = [as_matrix(s) for s in states]
     d = states[0].shape[0]
-    e = (1 - alpha) / (2 * alpha)
-    floor = 1e-14
-
-    def f(sigma):
-        ws, Vs = np.linalg.eigh(sigma)
-        ws = np.maximum(ws, floor)
-        Se = (Vs * ws ** e) @ Vs.conj().T
-        tot = 0.0
-        for p, r in zip(probs, states):
-            if p <= 0:
-                continue
-            w = np.linalg.eigvalsh(Se @ r @ Se)
-            w = w[w > 1e-18 * max(abs(w).max(), 1e-300)]
-            tot += p * np.sum(w ** alpha)
-        return float(np.log2(tot) / (alpha - 1))
-
-    basis = sdp.hermitian_basis(d)
-
-    def grad(sigma):
-        h = 1e-6
-        G = np.zeros((d, d), dtype=complex)
-        for B in basis:
-            G += (f(sigma + h * B) - f(sigma - h * B)) / (2 * h) * B
-        return G
-
     sigma = np.eye(d, dtype=complex) / d
-    val = f(sigma)
+    val, G = sandwiched_objective(sigma, probs, states, alpha)
     eta = 1.0
     res = np.inf
     for it in range(1, max_iter + 1):
-        G = grad(sigma)
         res = float(np.real(np.trace(sigma @ G)) - np.linalg.eigvalsh(G).min())
         if res <= residual_tol:
             break
         stepped = False
-        L = _logm_full(sigma, floor)
+        L = _logm_full(sigma)
         for _ in range(60):
             cand = _expm_density(L - eta * G)
-            cval = f(cand)
+            cval, cG = sandwiched_objective(cand, probs, states, alpha)
             if cval <= val + 1e-15:
-                sigma, val = cand, cval
+                sigma, val, G = cand, cval, cG
                 eta = min(eta * 1.25, 1e3)
                 stepped = True
                 break
@@ -311,9 +280,9 @@ def renyi_mutual_information(probs, states, alpha, residual_tol=1e-7,
             "iterations": it, "converged": res <= residual_tol}
 
 
-def _logm_full(sigma, floor):
+def _logm_full(sigma):
     ws, Vs = np.linalg.eigh(sigma)
-    ws = np.maximum(ws, floor)
+    ws = np.maximum(ws, SANDWICH_FLOOR * ws.max())
     return (Vs * np.log(ws)) @ Vs.conj().T
 
 
@@ -350,9 +319,9 @@ def weak_converse_objectives(cell, probs, input_state, input_dims):
     dR, dBp = input_dims
     m = len(cell)
     if isinstance(input_state, (list, tuple)):
-        inputs = [_mat(s) for s in input_state]
+        inputs = [as_matrix(s) for s in input_state]
     else:
-        inputs = [_mat(input_state)] * m
+        inputs = [as_matrix(input_state)] * m
     outs = []
     for ch, phi in zip(cell.channels, inputs):
         out = np.zeros((dR * ch.out_dim,) * 2, dtype=complex)

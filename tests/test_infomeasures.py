@@ -65,6 +65,27 @@ def test_renyi_classical_oracle():
     assert got == pytest.approx(expect, abs=1e-10)
 
 
+def test_sandwiched_objective_gradient_matches_central_differences(rng):
+    # oracle: central differences along an orthonormal Hermitian basis
+    from qbound.sdp import hermitian_basis
+
+    def central_gradient(sigma, probs, states, alpha, h=1e-6):
+        f = lambda s: im.sandwiched_objective(s, probs, states, alpha)[0]
+        return sum((f(sigma + h * B) - f(sigma - h * B)) / (2 * h) * B
+                   for B in hermitian_basis(sigma.shape[0]))
+
+    sigma = rand_state(4, rng)
+    rho = rand_state(4, rng)
+    cases = [([1.0], [rho], 2.0),
+             ([0.2, 0.5, 0.3], [rand_state(4, rng) for _ in range(3)], 1.5)]
+    for probs, states, alpha in cases:
+        val, G = im.sandwiched_objective(sigma, probs, states, alpha)
+        ref = central_gradient(sigma, probs, states, alpha)
+        assert np.abs(G - ref).max() <= 1e-6 * np.abs(ref).max()
+    val, _ = im.sandwiched_objective(sigma, [1.0], [rho], 2.0)
+    assert val == pytest.approx(im.sandwiched_renyi(rho, sigma, 2.0), abs=1e-10)
+
+
 def neyman_pearson(p, q, eps):
     """Classical hypothesis-testing divergence by the exact water-filling."""
     order = np.argsort(q / p)  # accept likeliest-under-p first

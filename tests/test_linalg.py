@@ -41,6 +41,34 @@ def test_matrix_fn_rejects_undefined():
         linalg.matrix_fn_on_support(H, np.log)
 
 
+def _central_difference(A, f, H, h=1e-6):
+    """Central difference of A -> f(A) along H, f applied to eigenvalues."""
+    def F(M):
+        w, V = np.linalg.eigh(M)
+        return (V * f(w)) @ V.conj().T
+    return (F(A + h * H) - F(A - h * H)) / (2 * h)
+
+
+def test_frechet_derivative_matches_central_differences(rng):
+    from conftest import haar_unitary
+    e = -0.25
+    fns = [(np.log, np.reciprocal), (lambda x: x ** e, lambda x: e * x ** (e - 1))]
+    # the second spectrum repeats an eigenvalue, so the tie branch runs
+    for spectrum in ([0.1, 0.4, 0.7, 1.3], [0.3, 0.3, 0.9, 1.6]):
+        U = haar_unitary(4, rng)
+        A = (U * np.array(spectrum)) @ U.conj().T
+        w, V = np.linalg.eigh(A)
+        H, K = random_herm(4, rng), random_herm(4, rng)
+        for f, df in fns:
+            D = linalg.frechet_derivative(w, V, f, df, H)
+            ref = _central_difference(A, f, H)
+            assert np.abs(D - ref).max() <= 1e-7 * np.abs(ref).max()
+            assert np.abs(D - D.conj().T).max() == 0.0
+            # self-adjoint: the same call is the gradient of Tr{K f(A)}
+            DK = linalg.frechet_derivative(w, V, f, df, K)
+            assert abs(np.trace(K @ D) - np.trace(DK @ H)) <= 1e-12 * np.abs(D).max()
+
+
 def test_partial_trace_product(rng):
     A = random_herm(2, rng)
     B = random_herm(3, rng)

@@ -83,8 +83,10 @@ def test_rains_orderings(rng):
     # D_Rains <= sandwiched(alpha=2) <= max-Rains on a mixed entangled state
     phi = qcore.max_ent_state(2)
     rho = 0.85 * phi + 0.15 * np.eye(4) / 4
-    lo = rains.rains_relative_entropy(rho, (2, 2))["value"]
-    mid = rains.sandwiched_rains(rho, (2, 2), alpha=2.0)["value"]
+    fw_lo = rains.rains_relative_entropy(rho, (2, 2))
+    fw_mid = rains.sandwiched_rains(rho, (2, 2), alpha=2.0)
+    assert fw_lo["converged"] and fw_mid["converged"]
+    lo, mid = fw_lo["value"], fw_mid["value"]
     hi, _ = rains.rmax_state(rho, (2, 2))
     assert lo <= mid + 1e-3
     assert mid <= hi + 1e-3
