@@ -54,20 +54,17 @@ def _support_violation(rho, sigma):
 def relative_entropy(rho, sigma, base='bits'):
     """D(rho||sigma) = Tr{rho [log rho - log sigma]}; inf on support violation."""
     R, S = as_matrix(rho), as_matrix(sigma)
-    if _support_violation(R, S) > 1e-10:
+    ws, Vs = np.linalg.eigh(S)
+    # weights of rho on the eigenvectors of sigma
+    r = np.real(np.sum(Vs.conj() * (R @ Vs), axis=0))
+    sup = ws > _CUT * max(abs(ws).max(), 1e-300)
+    if r[~sup].sum() > 1e-10:
         return INF
     log = _logfn(base)
-    wr, Vr = np.linalg.eigh(R)
-    ws, Vs = np.linalg.eigh(S)
-    cut_r = _CUT * max(abs(wr).max(), 1e-300)
-    cut_s = _CUT * max(abs(ws).max(), 1e-300)
-    t1 = sum(v * log(v) for v in wr if v > cut_r)
+    wr = np.linalg.eigvalsh(R)
+    wr = wr[wr > _CUT * max(abs(wr).max(), 1e-300)]
     # Tr rho log sigma on the support of sigma
-    t2 = 0.0
-    for mu, v in zip(ws, Vs.T):
-        if mu > cut_s:
-            t2 += log(mu) * float(np.real(v.conj() @ R @ v))
-    return float(t1 - t2)
+    return float(np.sum(wr * log(wr)) - np.sum(log(ws[sup]) * r[sup]))
 
 
 def dmax(rho, sigma):

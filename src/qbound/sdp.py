@@ -3,7 +3,14 @@
 Equality-form programs  min <C,X>  s.t.  <A_i,X> = b_i,  X >= 0 (block
 diagonal) are solved with a primal-dual Mehrotra predictor-corrector
 interior-point method. Complex Hermitian data enters through the real
-symmetric embedding H -> [[Re H, -Im H], [Im H, Re H]].
+symmetric embedding H -> [[Re H, -Im H], [Im H, Re H]] of the constraint
+stacks.
+
+Each iteration scores its iterate by the merit max(relative gap, primal
+residual, dual residual). When the best merit has not improved for
+STALL_WINDOW iterations the solve stops; a solve that ends as
+numerical_limit (stall, vanishing step or max_iter) returns the best
+iterate it met, with the objectives and gap of that iterate.
 
 A thin modeling layer (Model) turns operator equalities and one-sided
 operator inequalities over Hermitian matrix variables into the scalar
@@ -11,10 +18,12 @@ equality form, adding PSD slack blocks for inequalities.
 """
 import json
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve, lapack
 
 DEFAULT_TOL = 1e-8
 MAX_ITER = 200
 BOUNDARY_FRAC = 0.98
+STALL_WINDOW = 5
 
 
 class SDPProblem:
@@ -65,77 +74,60 @@ class SDPSolution:
                 % (self.status, self.primal_value, self.dual_value, self.gap))
 
 
-def embed_matrix(H):
-    """Real symmetric embedding of a Hermitian matrix."""
-    H = np.asarray(H)
-    return np.block([[H.real, -H.imag], [H.imag, H.real]])
-
-
-def embed_hermitian(p):
-    """
-    Rewrite a complex Hermitian SDPProblem over real symmetric blocks.
-
-    The objective is halved and the right-hand sides doubled so the
-    optimal value of the real program equals that of the complex one.
-    """
-    blocks = [2 * n for n in p.blocks]
-    C = [embed_matrix(Cb) / 2 for Cb in p.C]
-    A = [[None if Ab is None else embed_matrix(Ab) for Ab in row]
-         for row in p.A]
-    b = 2 * p.b
-    return SDPProblem(blocks, C, A, b)
-
-
 def _stack(p):
-    """Per-block dense (m, n, n) constraint stacks."""
+    """Real program data: objective blocks, per-block dense (m, n, n)
+    constraint stacks and right-hand sides.
+
+    Complex Hermitian data is embedded as H -> [[Re H, -Im H], [Im H, Re H]];
+    the objective is halved and the right-hand sides doubled so the real
+    program has the optimal value of the complex one.
+    """
     m = len(p.A)
-    stacks = []
+    cplx = p.is_complex
+    k = 2 if cplx else 1
+
+    def real(H):
+        if not cplx:
+            return H.real
+        return np.block([[H.real, -H.imag], [H.imag, H.real]])
+
+    C, stacks = [], []
     for bi, n in enumerate(p.blocks):
-        S = np.zeros((m, n, n))
+        S = np.zeros((m, n, n), dtype=complex if cplx else float)
         for i, row in enumerate(p.A):
             if row[bi] is not None:
-                S[i] = row[bi].real
-        stacks.append(S)
-    return stacks
+                S[i] = row[bi]
+        stacks.append(real(S))
+        C.append(real(p.C[bi]) / k)
+    return C, stacks, k * p.b
 
 
-def _presolve(p, tol=1e-18):
+def _presolve(stacks, b):
     """Drop linearly dependent constraint rows; detect inconsistency.
 
-    Works on the Gram matrix of the vectorized rows with a pivoted
-    Cholesky rank reveal, so the cost is one m x m factorization plus a
-    single large BLAS product.
+    LAPACK's pivoted Cholesky (?pstrf) reveals the rank of the Gram matrix
+    of the vectorized rows, scaled to unit diagonal so that pivoting keeps
+    the rows farthest from the span of those already kept, not the
+    longest. A pivot at or below m * eps is rounding, so the rows left are
+    dependent; they must agree with the kept ones on their right-hand sides.
     """
-    m = len(p.A)
-    stacks = _stack(p)
-    vecs = (np.hstack([S.reshape(m, -1) for S in stacks])
-            if p.blocks else np.zeros((m, 0)))
+    m = len(b)
+    vecs = np.hstack([S.reshape(m, -1) for S in stacks])
     G = vecs @ vecs.T
-    scale = max(np.diag(G).max(), 1.0) if m else 1.0
-    keep = []
-    work = G.copy()
-    active = np.ones(m, bool)
-    for _ in range(m):
-        diag = np.where(active, np.diag(work), -np.inf)
-        j = int(np.argmax(diag))
-        if diag[j] <= tol * scale:
-            break
-        keep.append(j)
-        active[j] = False
-        col = work[:, j] / work[j, j]
-        work = work - np.outer(col, work[j, :])
-        work[j, :] = 0.0
-        work[:, j] = 0.0
-    keep.sort()
-    dropped = [i for i in range(m) if i not in set(keep)]
-    dropped_bad = False
-    if dropped:
-        Gkk = G[np.ix_(keep, keep)]
-        coef = np.linalg.lstsq(Gkk, p.b[keep], rcond=None)[0]
-        pred = G[np.ix_(dropped, keep)] @ coef
-        if np.any(np.abs(pred - p.b[dropped]) > 1e-7 * max(1.0, np.abs(p.b).max())):
-            dropped_bad = True
-    return keep, dropped_bad
+    d = np.sqrt(G.diagonal())
+    d[d == 0] = 1.0
+    G /= np.outer(d, d)
+    factor, piv, rank, info = lapack.dpstrf(G, tol=m * np.finfo(float).eps)
+    if info < 0:
+        raise ValueError("dpstrf: illegal argument %d" % -info)
+    keep, dropped = piv[:rank] - 1, piv[rank:] - 1
+    inconsistent = False
+    if len(dropped):
+        coef = cho_solve((factor[:rank, :rank], False), b[keep] / d[keep])
+        pred = d[dropped] * (G[np.ix_(dropped, keep)] @ coef)
+        inconsistent = bool(np.any(np.abs(pred - b[dropped])
+                                   > 1e-7 * max(1.0, np.abs(b).max())))
+    return np.sort(keep), inconsistent
 
 
 def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
@@ -145,53 +137,43 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     :param p: SDPProblem; complex Hermitian data is embedded automatically.
     :param tol: duality-gap / residual tolerance in [1e-12, 1e-4].
     :return: SDPSolution with status optimal | infeasible | numerical_limit.
+        A numerical_limit solution is the best iterate met (see the
+        module docstring); iterations counts every iteration run.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol out of range")
-    if sum(p.blocks) > 512:
+    cplx = p.is_complex
+    if sum(p.blocks) * (2 if cplx else 1) > 512:
         raise ValueError("total block dimension too large")
-    if p.is_complex:
-        q = embed_hermitian(p)
-        sol = solve(q, tol=tol, max_iter=max_iter)
-        blocks = []
-        for bi, n in enumerate(p.blocks):
-            Xr = sol.primal_blocks[bi]
-            blocks.append((Xr[:n, :n] + Xr[n:, n:]) / 2
-                          + 1j * (Xr[n:, :n] - Xr[:n, n:]) / 2)
-        sol.primal_blocks = blocks
-        return sol
-
-    keep, inconsistent = _presolve(p)
+    C, stacks, b = _stack(p)
+    blocks = [len(Cb) for Cb in C]
+    keep, inconsistent = _presolve(stacks, b)
     if inconsistent:
         return SDPSolution(np.inf, -np.inf, None, None, np.inf, "infeasible")
-    A = [p.A[i] for i in keep]
-    b = p.b[keep]
-    p = SDPProblem(p.blocks, p.C, A, b)
-
-    blocks, C = p.blocks, [Cb.real.copy() for Cb in p.C]
-    stacks = _stack(p)
-    m, ntot = len(p.A), sum(blocks)
+    b = b[keep]
+    m, ntot = len(b), sum(blocks)
     if m == 0:
         # unconstrained: X = 0 is optimal for C >= 0, else unbounded; our
         # programs never hit this, return the trivial point
-        Z = [Cb.copy() for Cb in C]
-        return SDPSolution(0.0, 0.0, [np.zeros((n, n)) for n in blocks],
+        return SDPSolution(0.0, 0.0, [np.zeros((n, n)) for n in p.blocks],
                            np.zeros(0), 0.0, "optimal")
+    stacks = [S[keep] for S in stacks]
+    flat = [S.reshape(m, -1) for S in stacks]
 
     normC = max(1.0, max(np.linalg.norm(Cb) for Cb in C))
-    normA = max(1.0, max(np.linalg.norm(S.reshape(m, -1), axis=1).max()
-                         for S in stacks))
+    normA = max(1.0, max(np.linalg.norm(F, axis=1).max() for F in flat))
     normb = max(1.0, np.abs(b).max())
     scale = max(10.0, np.sqrt(ntot), ntot * normb / normA)
     X = [scale * np.eye(n) for n in blocks]
     Z = [max(10.0, np.sqrt(ntot), normC, normA) * np.eye(n) for n in blocks]
     y = np.zeros(m)
 
-    def op_A(Xb):
-        return sum(np.einsum('mij,ji->m', S, Xb_) for S, Xb_ in zip(stacks, Xb))
+    def op_A(Vb):
+        # <A_i, V> = sum_jk (A_i)_jk V_kj per block
+        return sum(F @ V.T.ravel() for F, V in zip(flat, Vb))
 
     def op_At(v):
-        return [np.einsum('m,mij->ij', v, S) for S in stacks]
+        return [(v @ F).reshape(n, n) for F, n in zip(flat, blocks)]
 
     def inner(U, V):
         return sum(float(np.sum(u * v)) for u, v in zip(U, V))
@@ -212,30 +194,36 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         return amax
 
     status = "numerical_limit"
+    best = (np.inf, 0, X, y)
     it = 0
     for it in range(1, max_iter + 1):
         rp = b - op_A(X)
         AtY = op_At(y)
         Rd = [Cb - Ab - Zb for Cb, Ab, Zb in zip(C, AtY, Z)]
-        mu = inner(X, Z) / ntot
+        gap = inner(X, Z)
+        mu = gap / ntot
         pobj = inner(C, X)
         dobj = float(b @ y)
-        gap = inner(X, Z)
         relgap = gap / (1.0 + abs(pobj))
         rp_n = np.linalg.norm(rp) / (1.0 + np.linalg.norm(b))
         rd_n = max(np.linalg.norm(Rb) for Rb in Rd) / normC
+        merit = max(relgap, rp_n, rd_n)
+        if merit < best[0]:
+            best = (merit, it, X, y)
         if relgap <= tol and rp_n <= tol and rd_n <= tol:
             status = "optimal"
             break
         if abs(dobj) > 1e10 * normb and rd_n <= 1e-6:
             status = "infeasible"
             break
+        if it - best[1] >= STALL_WINDOW:
+            break
 
         Zi = []
         for Zb in Z:
             try:
-                L = np.linalg.cholesky(Zb)
-                Zi.append(np.linalg.inv(L).T @ np.linalg.inv(L))
+                Li = np.linalg.inv(np.linalg.cholesky(Zb))
+                Zi.append(Li.T @ Li)
             except np.linalg.LinAlgError:
                 Zi.append(np.linalg.pinv(Zb, hermitian=True))
 
@@ -243,22 +231,19 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         M = np.zeros((m, m))
         for bi, S in enumerate(stacks):
             Vb = Zi[bi][None] @ S @ X[bi][None]
-            M += np.transpose(Vb, (0, 2, 1)).reshape(m, -1) @ S.reshape(m, -1).T
+            M += np.transpose(Vb, (0, 2, 1)).reshape(m, -1) @ flat[bi].T
         M = (M + M.T) / 2
         jitter = 1e-13 * max(1.0, np.trace(M) / m)
-
-        def solve_M(rhs):
-            try:
-                L = np.linalg.cholesky(M + jitter * np.eye(m))
-                t = np.linalg.solve(L, rhs)
-                return np.linalg.solve(L.T, t)
-            except np.linalg.LinAlgError:
-                return np.linalg.lstsq(M + 1e-10 * np.eye(m), rhs, rcond=None)[0]
+        try:
+            factor = cho_factor(M + jitter * np.eye(m), check_finite=False)
+            solve_M = lambda rhs: cho_solve(factor, rhs, check_finite=False)
+        except np.linalg.LinAlgError:
+            M_reg = M + 1e-10 * np.eye(m)
+            solve_M = lambda rhs: np.linalg.lstsq(M_reg, rhs, rcond=None)[0]
 
         def direction(sigma_mu, corr):
             # Rc = sigma*mu*I - X Z - corr   (per block)
-            rhs = rp.copy()
-            Rc = []
+            Rc, T = [], []
             for bi in range(len(blocks)):
                 Rcb = -X[bi] @ Z[bi]
                 if sigma_mu:
@@ -266,9 +251,8 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
                 if corr is not None:
                     Rcb = Rcb - corr[bi]
                 Rc.append(Rcb)
-                T = (Rcb - X[bi] @ Rd[bi]) @ Zi[bi]
-                rhs -= np.einsum('mij,ji->m', stacks[bi], T)
-            dy = solve_M(rhs)
+                T.append((Rcb - X[bi] @ Rd[bi]) @ Zi[bi])
+            dy = solve_M(rp - op_A(T))
             dZ = [Rb - Ab for Rb, Ab in zip(Rd, op_At(dy))]
             dX = []
             for bi in range(len(blocks)):
@@ -295,8 +279,13 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         y = y + ad * dy
         Z = [Zb + ad * d for Zb, d in zip(Z, dZ)]
 
+    if status == "numerical_limit":
+        _, _, X, y = best
     pobj = inner(C, X)
     dobj = float(b @ y)
+    if cplx:
+        X = [(Xr[:n, :n] + Xr[n:, n:]) / 2 + 1j * (Xr[n:, :n] - Xr[:n, n:]) / 2
+             for Xr, n in zip(X, p.blocks)]
     return SDPSolution(pobj, dobj, X, y, abs(pobj - dobj), status, it)
 
 
@@ -367,7 +356,7 @@ class Model:
             d = G.shape[0]
             if d not in bases:
                 bases[d] = hermitian_basis(d)
-            out_basis = bases[d]
+            out_flat = bases[d].reshape(d * d, -1).conj()
             # image of each input basis element under each map
             rows = [[None] * len(self.dims) for _ in range(d * d)]
             for v, fn in terms:
@@ -377,14 +366,14 @@ class Model:
                 in_basis = bases[n]
                 # F[l, k] = <out_l, fn(in_k)>
                 imgs = np.array([fn(Bk) for Bk in in_basis])
-                F = np.einsum('lij,kij->lk', out_basis.conj(), imgs).real
-                Av = np.einsum('lk,kij->lij', F, in_basis)
+                F = (out_flat @ imgs.reshape(n * n, -1).T).real
+                Av = (F @ in_basis.reshape(n * n, -1)).reshape(d * d, n, n)
                 for l in range(d * d):
                     if rows[l][v] is None:
                         rows[l][v] = Av[l]
                     else:
                         rows[l][v] = rows[l][v] + Av[l]
-            g = np.einsum('lij,ij->l', out_basis.conj(), G).real
+            g = (out_flat @ G.ravel()).real
             for l in range(d * d):
                 A.append(rows[l])
                 b.append(g[l])

@@ -53,6 +53,24 @@ def test_bidirectional_swap_dephasing_half():
     assert out["gap"] <= 1e-6
 
 
+def test_bidirectional_primal_certificate():
+    """The primal witness of a partial-swap point, checked outside the
+    solver: -rho (x) 1 <= T_{B L_B}(X) <= rho (x) 1, Tr rho = 1, and
+    Tr{J X} is the reported primal value."""
+    N = qcore.partial_swap(0.25)
+    out = rains.rmax_bidirectional(N)
+    J, dims = rains.bidirectional_choi(N)
+    la, a, b, lb = dims
+    X, rho = out["X"], out["rho"]
+    E = linalg.permute_systems(np.kron(rho, np.eye(a * b)), (la, lb, a, b),
+                               [0, 2, 3, 1])
+    TX = linalg.partial_transpose(X, dims, [2, 3])
+    assert np.linalg.eigvalsh(E - TX)[0] >= -1e-8
+    assert np.linalg.eigvalsh(E + TX)[0] >= -1e-8
+    assert abs(np.trace(rho).real - 1) <= 1e-8
+    assert abs(np.trace(J @ X).real - out["gamma_primal"]) <= 1e-9
+
+
 def test_emax_ppt_max_ent():
     for d in (2, 3):
         val = rains.emax_ppt(qcore.max_ent_state(d), (d, d))

@@ -86,6 +86,35 @@ def test_presolve_detects_inconsistency():
     assert sol.status == "infeasible"
 
 
+def test_presolve_blocked_rank_reveal(rng):
+    """120 rows (80 independent, 40 random combinations of them) exceed
+    LAPACK's pivoted-Cholesky block size, so ?pstrf takes its blocked path."""
+    n = 13
+    A = rng.standard_normal((80, n, n))
+    A = (A + A.transpose(0, 2, 1)) / (2 * n)
+    rows = np.concatenate([A, np.einsum("ka,aij->kij",
+                                        rng.standard_normal((40, 80)), A)])
+    order = rng.permutation(120)
+    G = rng.standard_normal((n, n))
+    X0 = (G @ G.T / n + np.eye(n)) / n  # strictly feasible point
+    C = np.eye(n) + np.diag(rng.uniform(0, 1, n))
+
+    def problem(R, b):
+        return sdp.SDPProblem(blocks=[n], C=[C], A=[[Ri] for Ri in R], b=b)
+
+    b = np.einsum("kij,ji->k", rows, X0)
+    full = problem(rows[order], b[order])
+    _, stacks, rhs = sdp._stack(full)
+    keep, inconsistent = sdp._presolve(stacks, rhs)
+    assert len(keep) == 80 and not inconsistent
+    sol, ref = sdp.solve(full), sdp.solve(problem(rows[:80], b[:80]))
+    assert sol.status == ref.status == "optimal"
+    assert abs(sol.primal_value - ref.primal_value) <= 1e-6
+    b_bad = b.copy()
+    b_bad[100] += 1e-3
+    assert sdp.solve(problem(rows[order], b_bad[order])).status == "infeasible"
+
+
 def test_unbounded_dual_reports_infeasible():
     # x1 + x2 = -1 with x >= 0 (diagonal blocks) is infeasible
     p = sdp.SDPProblem(
