@@ -40,15 +40,18 @@ def entropy(rho, base='bits'):
     return float(-sum(v * log(v) for v in w if v > cut))
 
 
-def _support_violation(rho, sigma):
-    """Weight of rho outside the support of sigma."""
-    R, S = as_matrix(rho), as_matrix(sigma)
-    w, V = np.linalg.eigh(S)
-    cut = _CUT * max(abs(w).max(), 1e-300)
-    kern = V[:, w <= cut]
-    if kern.shape[1] == 0:
-        return 0.0
-    return float(np.real(np.trace(kern.conj().T @ R @ kern)))
+def _sigma_fn(sigma, f, rho=None):
+    """
+    linalg.matrix_fn_on_support(sigma, f), from the one eigendecomposition
+    that also checks the support of rho: None when rho has weight above
+    1e-10 outside the support of sigma.
+    """
+    w, V = linalg.eigh(as_matrix(sigma))
+    if rho is not None:
+        r = np.real(np.sum(V.conj() * (rho @ V), axis=0))
+        if r[w <= _CUT * max(abs(w).max(), 1e-300)].sum() > 1e-10:
+            return None
+    return linalg.fn_on_support(w, V, f)
 
 
 def relative_entropy(rho, sigma, base='bits'):
@@ -69,10 +72,10 @@ def relative_entropy(rho, sigma, base='bits'):
 
 def dmax(rho, sigma):
     """Max-relative entropy log2 min{lambda: rho <= 2^lambda sigma} in bits."""
-    R, S = as_matrix(rho), as_matrix(sigma)
-    if _support_violation(R, S) > 1e-10:
+    R = as_matrix(rho)
+    Sinv = _sigma_fn(sigma, lambda x: x ** -0.5, R)
+    if Sinv is None:
         return INF
-    Sinv = linalg.matrix_fn_on_support(S, lambda x: x ** -0.5)
     lam = np.linalg.eigvalsh(Sinv @ R @ Sinv)[-1]
     return float(np.log2(max(lam, 1e-300)))
 
@@ -85,11 +88,11 @@ def sandwiched_renyi(rho, sigma, alpha):
         raise ValueError("alpha must be positive and different from 1")
     if abs(alpha - 1) <= 1e-4:
         return relative_entropy(rho, sigma)
-    R, S = as_matrix(rho), as_matrix(sigma)
-    if alpha > 1 and _support_violation(R, S) > 1e-10:
-        return INF
+    R = as_matrix(rho)
     e = (1 - alpha) / (2 * alpha)
-    Se = linalg.matrix_fn_on_support(S, lambda x: x ** e)
+    Se = _sigma_fn(sigma, lambda x: x ** e, R if alpha > 1 else None)
+    if Se is None:
+        return INF
     w = np.linalg.eigvalsh(Se @ R @ Se)
     w = w[w > _CUT * max(abs(w).max(), 1e-300)]
     # Tr M^alpha through logs to survive large alpha
@@ -220,11 +223,11 @@ def holevo(probs, states, base='bits'):
 
 def rel_entropy_variance(rho, sigma):
     """V(rho||sigma) = Tr{rho (log2 rho - log2 sigma - D)^2} in bits^2."""
-    R, S = as_matrix(rho), as_matrix(sigma)
-    if _support_violation(R, S) > 1e-10:
+    R = as_matrix(rho)
+    LS = _sigma_fn(sigma, np.log2, R)
+    if LS is None:
         raise ValueError("support of rho not contained in support of sigma")
-    L = (linalg.matrix_fn_on_support(R, np.log2)
-         - linalg.matrix_fn_on_support(S, np.log2))
+    L = linalg.matrix_fn_on_support(R, np.log2) - LS
     D = float(np.real(np.trace(R @ L)))
     V = float(np.real(np.trace(R @ L @ L))) - D * D
     return max(V, 0.0)

@@ -56,7 +56,14 @@ def matrix_fn_on_support(H, f, support_cut=SUPPORT_CUT):
     :param support_cut: relative cutoff below which eigenvalues count as 0.
     :return: f(H) restricted to the support of H.
     """
-    vals, vecs = eigh(H)
+    return fn_on_support(*eigh(H), f, support_cut)
+
+
+def fn_on_support(vals, vecs, f, support_cut=SUPPORT_CUT):
+    """
+    matrix_fn_on_support from an eigendecomposition of H already at hand,
+    as returned by eigh.
+    """
     cut = support_cut * max(np.abs(vals).max(), np.finfo(float).tiny)
     with np.errstate(invalid='ignore', divide='ignore'):
         fvals = np.array([f(v) if abs(v) > cut else 0.0 for v in vals])

@@ -3,8 +3,8 @@
 Max-Rains quantities for states, point-to-point channels and
 bidirectional channels (primal and dual programs solved independently),
 the PPT relaxation of the max-relative entropy of entanglement, Rains
-and sandwiched Rains relative entropies by Frank-Wolfe over the PPT'
-spectrahedron, private-state privacy tests, and strong/weak-converse
+and sandwiched Rains relative entropies by away-step Frank-Wolfe over the
+PPT' spectrahedron, private-state privacy tests, and strong/weak-converse
 rate combinators.
 
 All values are in bits. PPT'(A:B) = {sigma >= 0, ||T_B sigma||_1 <= 1}.
@@ -190,13 +190,12 @@ def ppt_prime_member(sigma, dims, slack=1e-8):
 def _safe_rel_ent(R, sigma, floor=1e-14):
     """D(R||sigma) in bits with an eigenvalue floor on sigma."""
     wr = np.linalg.eigvalsh(R)
-    cut = 1e-12 * max(wr.max(), 1e-300)
-    t1 = sum(v * np.log2(v) for v in wr if v > cut)
+    wr = wr[wr > 1e-12 * max(wr.max(), 1e-300)]
     ws, Vs = np.linalg.eigh(sigma)
     ws = np.maximum(ws, floor * max(ws.max(), 1e-300))
-    t2 = sum(np.log2(mu) * float(np.real(v.conj() @ R @ v))
-             for mu, v in zip(ws, Vs.T))
-    return float(t1 - t2)
+    # weights of R on the eigenvectors of sigma
+    r = np.real(np.sum(Vs.conj() * (R @ Vs), axis=0))
+    return float(np.sum(wr * np.log2(wr)) - np.sum(np.log2(ws) * r))
 
 
 def _rel_ent_gradient(R, sigma, floor=1e-14):
@@ -207,6 +206,19 @@ def _rel_ent_gradient(R, sigma, floor=1e-14):
 
 
 def _frank_wolfe(f, grad, sigma0, dims, gap_tol=1e-5, max_iter=500):
+    """
+    Away-step Frank-Wolfe (Lacoste-Julien & Jaggi, NeurIPS 2015) over PPT'.
+
+    sigma is kept as a convex combination of active atoms, sigma0 and the
+    LMO outputs. Each iteration steps toward the LMO output s, or away from
+    the active atom a with the largest <G, a> when that direction is
+    steeper; an atom whose weight falls to 1e-14 or below is dropped. The
+    stop rule is the Frank-Wolfe gap <G, sigma - s> <= gap_tol, and each
+    iteration makes one LMO call.
+
+    :return: (sigma, gap, iterations, converged).
+    """
+    atoms, weights = [sigma0], np.ones(1)
     sigma = sigma0.copy()
     gap = np.inf
     for it in range(1, max_iter + 1):
@@ -215,20 +227,38 @@ def _frank_wolfe(f, grad, sigma0, dims, gap_tol=1e-5, max_iter=500):
         gap = float(np.real(np.trace(G @ (sigma - s))))
         if gap <= gap_tol:
             return sigma, gap, it, True
-        def line(t):
-            return f((1 - t) * sigma + t * s)
-        res = minimize_scalar(line, bounds=(0.0, 1.0), method='bounded',
+        away = [float(np.real(np.trace(G @ (a - sigma)))) for a in atoms]
+        k = int(np.argmax(away))
+        toward = len(atoms) == 1 or gap >= away[k]
+        if toward:
+            d, cap = s - sigma, 1.0
+        else:
+            d, cap = sigma - atoms[k], weights[k] / (1 - weights[k])
+        line = lambda t: f(sigma + t * d)
+        res = minimize_scalar(line, bounds=(0.0, cap), method='bounded',
                               options={"xatol": 1e-12})
         t = float(res.x)
-        if t <= 0:
-            t = min(2.0 / (it + 2), 1.0)
-        sigma = (1 - t) * sigma + t * s
+        # the bounded search stops short of cap, so without this check an
+        # away step would shrink an atom's weight forever and never drop it
+        if not toward and line(cap) <= res.fun:
+            t = cap
+        sigma = sigma + t * d
+        if toward:
+            atoms.append(s)
+            weights = np.append((1 - t) * weights, t)
+        else:
+            weights = (1 + t) * weights
+            weights[k] -= t
+        keep = weights > 1e-14
+        atoms = [a for a, kept in zip(atoms, keep) if kept]
+        weights = weights[keep]
     return sigma, gap, max_iter, False
 
 
 def rains_relative_entropy(rho, dims, gap_tol=1e-5, max_iter=500):
     """
-    Rains relative entropy min D(rho||sigma) over PPT', by Frank-Wolfe.
+    Rains relative entropy min D(rho||sigma) over PPT', by away-step
+    Frank-Wolfe (one PPT' linear-oracle SDP per iteration).
 
     :return: dict with value (an upper bound on the true minimum), the
         final iterate, the Frank-Wolfe duality-gap estimate, and a

@@ -4,6 +4,8 @@ import pytest
 from qbound import infomeasures as im
 from qbound import linalg, qcore, rains
 
+from conftest import haar_unitary
+
 
 def test_state_bound_max_ent():
     for d in (2, 3):
@@ -95,6 +97,87 @@ def test_rains_relative_entropy_values(rng):
                   qcore.random_density(2, rng).matrix)
     res = rains.rains_relative_entropy(rho, (2, 2))
     assert abs(res["value"]) < 1e-4
+
+
+def _nearly_pure_qubit_product():
+    """(0.95, 0.05) x (0.9, 0.1) in seeded local eigenbases."""
+    rng = np.random.default_rng(1)
+    U, V = haar_unitary(2, rng), haar_unitary(2, rng)
+    return np.kron((U * [0.95, 0.05]) @ U.conj().T,
+                   (V * [0.9, 0.1]) @ V.conj().T), (2, 2)
+
+
+def _qutrit_product():
+    rng = np.random.default_rng(1)
+    return np.kron(qcore.random_density(3, rng).matrix,
+                   qcore.random_density(3, rng).matrix), (3, 3)
+
+
+@pytest.mark.parametrize("make", [_nearly_pure_qubit_product, _qutrit_product])
+def test_rains_relative_entropy_product_states_converge(make):
+    # sigma = rho lies inside a face of PPT', where vanilla Frank-Wolfe
+    # zig-zags: both states stop at max_iter=500 without away steps
+    rho, dims = make()
+    res = rains.rains_relative_entropy(rho, dims)
+    assert res["converged"]
+    assert abs(res["value"]) < 1e-4
+    assert res["iterations"] <= 100
+    assert rains.ppt_prime_member(res["sigma"], dims, slack=1e-6)
+
+
+@pytest.mark.parametrize("d, w", [(2, 0.85), (3, 0.7)])
+def test_rains_relative_entropy_isotropic_closed_form(d, w):
+    # isotropic state of fidelity F > 1/d with the maximally entangled state
+    rho = w * qcore.max_ent_state(d) + (1 - w) * np.eye(d * d) / d ** 2
+    F = w + (1 - w) / d ** 2
+    exact = np.log2(d) - (1 - F) * np.log2(d - 1) - im.binary_entropy(F)
+    res = rains.rains_relative_entropy(rho, (d, d))
+    assert res["converged"]
+    assert res["value"] == pytest.approx(exact, abs=1e-5)
+
+
+def test_frank_wolfe_one_lmo_call_per_iteration(monkeypatch):
+    # the benchmark tracer counts LMO calls through the module global and
+    # Frank-Wolfe iterations from the returned 4-tuple
+    calls = []
+    lmo = rains.ppt_prime_lmo
+
+    def counted(G, dims):
+        calls.append(G)
+        return lmo(G, dims)
+    monkeypatch.setattr(rains, "ppt_prime_lmo", counted)
+    rho, dims = _nearly_pure_qubit_product()
+    f = lambda s: rains._safe_rel_ent(rho, s)
+    g = lambda s: rains._rel_ent_gradient(rho, s)
+    sigma0 = np.eye(4, dtype=complex) / 4
+    for max_iter, converged in ((500, True), (3, False)):
+        calls.clear()
+        out = rains._frank_wolfe(f, g, sigma0, dims, 1e-5, max_iter)
+        assert len(out) == 4
+        sigma, gap, iterations, ok = out
+        assert ok is converged
+        assert iterations == len(calls)
+        assert (gap <= 1e-5) is converged
+        assert rains.ppt_prime_member(sigma, dims, slack=1e-6)
+
+
+def test_safe_rel_ent_matches_eigenpair_loop():
+    def loop(R, sigma, floor=1e-14):
+        wr = np.linalg.eigvalsh(R)
+        cut = 1e-12 * max(wr.max(), 1e-300)
+        t1 = sum(v * np.log2(v) for v in wr if v > cut)
+        ws, Vs = np.linalg.eigh(sigma)
+        ws = np.maximum(ws, floor * max(ws.max(), 1e-300))
+        t2 = sum(np.log2(mu) * float(np.real(v.conj() @ R @ v))
+                 for mu, v in zip(ws, Vs.T))
+        return float(t1 - t2)
+    rng = np.random.default_rng(5)
+    for _ in range(1000):
+        d = int(rng.integers(2, 10))
+        # random ranks: sigma is often rank-deficient, so the floor acts
+        R = qcore.random_density(d, rng, rank=int(rng.integers(1, d + 1))).matrix
+        S = qcore.random_density(d, rng, rank=int(rng.integers(1, d + 1))).matrix
+        assert abs(rains._safe_rel_ent(R, S) - loop(R, S)) <= 1e-13
 
 
 def test_rains_orderings(rng):
