@@ -339,10 +339,7 @@ def diamond_norm(J, in_dim, tol=1e-8):
                (W, lambda X: -X)], np.zeros((n, n), dtype=complex))
     m.add_eq([(r, lambda R: np.trace(R).real * np.ones((1, 1)))],
              np.ones((1, 1)))
-    sol = m.solve(tol=tol)
-    if sol.status not in ("optimal",) and not (
-            sol.status == "numerical_limit" and sol.gap <= max(100 * tol, 1e-7)):
-        raise ArithmeticError("diamond norm SDP failed: %s" % sol.status)
+    sol = m.solve(tol=tol, label="diamond norm")
     return float(2 * max(0.0, -sol.primal_value))
 
 

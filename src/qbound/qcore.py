@@ -89,11 +89,6 @@ def random_density(d, rng, rank=None, dims=None):
     return DensityOperator(M / np.trace(M).real, dims)
 
 
-def random_pure(d, rng):
-    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-    return v / np.linalg.norm(v)
-
-
 class KrausChannel:
     """Channel given by Kraus operators out_dim x in_dim."""
 
@@ -170,11 +165,6 @@ class IsometricExtension:
         K = [self.matrix.reshape(self.out_dim, self.env_dim, self.in_dim)[b, :, :]
              for b in range(self.out_dim)]
         return KrausChannel(K)
-
-    def env_state(self, rho):
-        R = as_matrix(rho)
-        full = self.matrix @ R @ self.matrix.conj().T
-        return linalg.partial_trace(full, (self.out_dim, self.env_dim), [1])
 
 
 class BipartiteChannel:

@@ -35,20 +35,10 @@ def rmax_state(rho, dims, tol=1e-8):
     D = m.var(n)
     m.set_objective({C: np.eye(n, dtype=complex), D: np.eye(n, dtype=complex)})
     m.add_psd([(C, TB), (D, lambda X: -TB(X))], R)
-    sol = _accept(m.solve(tol=tol), tol, "max-Rains state")
+    sol = m.solve(tol=tol, label="max-Rains state")
     W = max(sol.primal_value, 1e-300)
     return float(np.log2(W)), {"C": sol.primal_blocks[C], "D": sol.primal_blocks[D],
                                "W": W, "gap": sol.gap}
-
-
-def _accept(sol, tol, label):
-    """Accept an optimal solve, or a stalled one whose gap is still tight."""
-    if sol.status == "optimal":
-        return sol
-    if sol.status == "numerical_limit" and sol.gap <= max(100 * tol, 1e-6):
-        return sol
-    raise ArithmeticError("%s SDP failed: %s (gap %.3g)"
-                          % (label, sol.status, sol.gap))
 
 
 def _inf_norm_rains_sdp(J, dims, keep_idx, transpose_idx, tol):
@@ -67,7 +57,7 @@ def _inf_norm_rains_sdp(J, dims, keep_idx, transpose_idx, tol):
     m.add_psd([(t, lambda X: X[0, 0] * np.eye(dk, dtype=complex)),
                (V, lambda X: -PT(X)), (Y, lambda X: -PT(X))],
               np.zeros((dk, dk), dtype=complex))
-    sol = _accept(m.solve(tol=tol), tol, "channel Rains")
+    sol = m.solve(tol=tol, label="channel Rains")
     return sol.primal_value, {"V": sol.primal_blocks[V], "Y": sol.primal_blocks[Y],
                               "gap": sol.gap}
 
@@ -129,7 +119,7 @@ def rmax_bidirectional(N, tol=1e-9):
     m.add_psd([(rho, embed_rho), (X, T)], np.zeros((n, n), dtype=complex))
     m.add_eq([(rho, lambda R: np.trace(R).real * np.ones((1, 1)))],
              np.ones((1, 1)))
-    sol = _accept(m.solve(tol=tol), tol, "bidirectional primal")
+    sol = m.solve(tol=tol, label="bidirectional primal")
     primal = -sol.primal_value
     gap = abs(primal - dual)
     value = float(np.log2(max((primal + dual) / 2, 1e-300)))
@@ -153,9 +143,7 @@ def emax_ppt(rho, dims, tol=1e-8):
     m.set_objective({S: np.eye(n, dtype=complex)})
     m.add_psd([(S, lambda X: X)], R)
     m.add_psd([(S, TB)], np.zeros((n, n), dtype=complex))
-    sol = m.solve(tol=tol)
-    if sol.status != "optimal":
-        raise ArithmeticError("emax_ppt SDP failed: %s" % sol.status)
+    sol = m.solve(tol=tol, label="emax_ppt")
     return float(np.log2(max(sol.primal_value, 1e-300)))
 
 
@@ -175,7 +163,7 @@ def ppt_prime_lmo(G, dims, tol=1e-9):
     m.add_eq([(C, lambda X: np.trace(X).real * np.ones((1, 1))),
               (D, lambda X: np.trace(X).real * np.ones((1, 1))),
               (u, lambda X: X)], np.ones((1, 1)))
-    sol = _accept(m.solve(tol=tol), tol, "PPT' linear oracle")
+    sol = m.solve(tol=tol, label="PPT' linear oracle")
     return sol.primal_blocks[S]
 
 
@@ -238,9 +226,10 @@ def _frank_wolfe(f, grad, sigma0, dims, gap_tol=1e-5, max_iter=500):
         res = minimize_scalar(line, bounds=(0.0, cap), method='bounded',
                               options={"xatol": 1e-12})
         t = float(res.x)
-        # the bounded search stops short of cap, so without this check an
-        # away step would shrink an atom's weight forever and never drop it
-        if not toward and line(cap) <= res.fun:
+        # the bounded search stops about 1.5e-8 short of cap: without this
+        # check an away step would shrink an atom's weight forever and never
+        # drop it, and a toward step would miss a minimum at s itself
+        if line(cap) <= res.fun:
             t = cap
         sigma = sigma + t * d
         if toward:

@@ -175,11 +175,6 @@ def blahut_arimoto(states, tol=1e-10, kkt_tol=1e-8, max_iter=20000):
             "kkt_residual": resid}
 
 
-def env_cell_capacity(states, tol=1e-10):
-    """Blahut-Arimoto capacity of the ancilla-state ensemble."""
-    return blahut_arimoto(states, tol=tol)
-
-
 def fock_cutoff(N, tail=1e-12):
     """Smallest m with (N/(N+1))^(m+1) < tail."""
     if N <= 0:

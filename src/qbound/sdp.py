@@ -15,6 +15,13 @@ iterate it met, with the objectives and gap of that iterate.
 A thin modeling layer (Model) turns operator equalities and one-sided
 operator inequalities over Hermitian matrix variables into the scalar
 equality form, adding PSD slack blocks for inequalities.
+
+Acceptance contract: solve() is the raw solver; it reports its status
+and raises nothing for a failed solve. Model.solve() is the one place
+that decides whether a solve counts. It returns the solution when the
+status is optimal, or numerical_limit with gap <= max(100 tol, 1e-7),
+and raises ArithmeticError("<label> SDP failed: <status> (gap <g>)")
+otherwise. Callers read values, never the status.
 """
 import json
 import numpy as np
@@ -139,24 +146,28 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     :return: SDPSolution with status optimal | infeasible | numerical_limit.
         A numerical_limit solution is the best iterate met (see the
         module docstring); iterations counts every iteration run.
+        dual_multipliers holds one multiplier per row of p.A, zero on rows
+        the presolve dropped.
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol out of range")
     cplx = p.is_complex
-    if sum(p.blocks) * (2 if cplx else 1) > 512:
+    k = 2 if cplx else 1
+    if sum(p.blocks) * k > 512:
         raise ValueError("total block dimension too large")
     C, stacks, b = _stack(p)
     blocks = [len(Cb) for Cb in C]
     keep, inconsistent = _presolve(stacks, b)
+    y_all = np.zeros(len(p.A))
     if inconsistent:
-        return SDPSolution(np.inf, -np.inf, None, None, np.inf, "infeasible")
+        return SDPSolution(np.inf, -np.inf, None, y_all, np.inf, "infeasible")
     b = b[keep]
     m, ntot = len(b), sum(blocks)
     if m == 0:
         # unconstrained: X = 0 is optimal for C >= 0, else unbounded; our
         # programs never hit this, return the trivial point
         return SDPSolution(0.0, 0.0, [np.zeros((n, n)) for n in p.blocks],
-                           np.zeros(0), 0.0, "optimal")
+                           y_all, 0.0, "optimal")
     stacks = [S[keep] for S in stacks]
     flat = [S.reshape(m, -1) for S in stacks]
 
@@ -286,7 +297,9 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     if cplx:
         X = [(Xr[:n, :n] + Xr[n:, n:]) / 2 + 1j * (Xr[n:, :n] - Xr[:n, n:]) / 2
              for Xr, n in zip(X, p.blocks)]
-    return SDPSolution(pobj, dobj, X, y, abs(pobj - dobj), status, it)
+    # the embedded program's multipliers are 1/k of the complex program's
+    y_all[keep] = k * y
+    return SDPSolution(pobj, dobj, X, y_all, abs(pobj - dobj), status, it)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +392,15 @@ class Model:
                 b.append(g[l])
         return SDPProblem(self.dims, C, A, b)
 
-    def solve(self, tol=DEFAULT_TOL, max_iter=MAX_ITER):
-        prob = self.compile()
-        sol = solve(prob, tol=tol, max_iter=max_iter)
-        return sol
+    def solve(self, tol=DEFAULT_TOL, max_iter=MAX_ITER, label="model"):
+        """Compile and solve; return the solution if it counts (see the
+        module docstring), else raise ArithmeticError naming label."""
+        sol = solve(self.compile(), tol=tol, max_iter=max_iter)
+        if sol.status == "optimal" or (sol.status == "numerical_limit"
+                                       and sol.gap <= max(100 * tol, 1e-7)):
+            return sol
+        raise ArithmeticError("%s SDP failed: %s (gap %.3g)"
+                              % (label, sol.status, sol.gap))
 
 
 # ---------------------------------------------------------------------------

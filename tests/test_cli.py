@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qbound import cli
+from qbound import cli, sdp
 
 
 def run(capsys, *argv):
@@ -115,6 +115,19 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     diag = json.loads(err.strip().split("\n")[-1])
     assert diag["error"] == "numerical_failure"
     assert diag["subcommand"] == "capacity"
+
+
+def test_stalled_sdp_exit_code(monkeypatch, capsys):
+    def stalled(p, tol, max_iter):
+        return sdp.SDPSolution(-1.0, -0.9, [np.eye(n) for n in p.blocks],
+                               np.zeros(len(p.A)), 0.1, "numerical_limit",
+                               max_iter)
+    monkeypatch.setattr(sdp, "solve", stalled)
+    code, out, err = run(capsys, "nonunitarity", "--q", "0.5")
+    assert code == 3 and out == ""
+    diag = json.loads(err.strip().split("\n")[-1])
+    assert diag["subcommand"] == "nonunitarity"
+    assert "numerical_limit" in diag["detail"]
 
 
 def test_thread_cap_respected(monkeypatch, capsys):

@@ -1,9 +1,12 @@
+import ast
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qbound import sdp
+from qbound import dynamics, qcore, rains, sdp
+from qbound import infomeasures as im
 
 
 def scalar_lp():
@@ -169,3 +172,103 @@ def test_model_operator_equality(rng):
     sol = m.solve()
     assert sol.status == "optimal"
     assert np.abs(sol.primal_blocks[X] - G).max() < 1e-6
+
+
+def test_dual_multipliers_complex_and_presolved(rng):
+    # min Tr CX s.t. Tr X = 1 has the multiplier lambda_min(C); the real
+    # embedding must not halve it
+    C = np.array([[1.0, 1j], [-1j, 2.0]])
+    sol = sdp.solve(sdp.SDPProblem([2], [C], [[np.eye(2)]], [1.0]))
+    assert sol.dual_multipliers[0] == pytest.approx((3 - np.sqrt(5)) / 2,
+                                                    abs=1e-7)
+    # a duplicated row is dropped by the presolve but keeps its slot
+    A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    C = (A + A.conj().T) / 2
+    rows = [np.eye(3), 2 * np.eye(3), np.diag([1.0, 0.0, 0.0])]
+    p = sdp.SDPProblem([3], [C], [[R] for R in rows], [1.0, 2.0, 0.25])
+    sol = sdp.solve(p)
+    y = sol.dual_multipliers
+    assert sol.status == "optimal" and len(y) == len(p.A)
+    assert np.count_nonzero(y) == 2
+    Z = C - sum(yi * R for yi, R in zip(y, rows))
+    assert np.linalg.eigvalsh(Z)[0] >= -1e-7
+    assert float(p.b @ y) == pytest.approx(sol.primal_value, abs=1e-6)
+
+
+def _stub(status, gap):
+    def solve(p, tol=sdp.DEFAULT_TOL, max_iter=sdp.MAX_ITER):
+        return sdp.SDPSolution(1.0, 1.0 - gap, [np.eye(n) for n in p.blocks],
+                               np.zeros(len(p.A)), gap, status, 1)
+    return solve
+
+
+def _scalar_model():
+    m = sdp.Model()
+    t = m.var(1)
+    m.set_objective({t: np.ones((1, 1))})
+    m.add_eq([(t, lambda X: X)], np.ones((1, 1)))
+    return m
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+@pytest.mark.parametrize("status, gap_scale, accepted", [
+    ("optimal", 0.0, True),
+    ("numerical_limit", 0.5, True),
+    ("numerical_limit", 2.0, False),
+    ("infeasible", np.inf, False),
+])
+def test_model_solve_acceptance_rule(monkeypatch, tol, status, gap_scale,
+                                     accepted):
+    bound = max(100 * tol, 1e-7)
+    monkeypatch.setattr(sdp, "solve", _stub(status, gap_scale * bound))
+    if accepted:
+        assert _scalar_model().solve(tol=tol, label="stub").status == status
+    else:
+        with pytest.raises(ArithmeticError,
+                           match="stub SDP failed: %s" % status):
+            _scalar_model().solve(tol=tol, label="stub")
+
+
+_RHO = qcore.max_ent_state(2)
+_CALLERS = {  # name: (call, label of its first SDP)
+    "rmax_state": (lambda: rains.rmax_state(_RHO, (2, 2)), "max-Rains state"),
+    "rmax_channel": (lambda: rains.rmax_channel(qcore.depolarizing(2, 0.3)),
+                     "channel Rains"),
+    "rmax_bidirectional":
+        (lambda: rains.rmax_bidirectional(qcore.partial_swap(0.3)),
+         "channel Rains"),
+    "emax_ppt": (lambda: rains.emax_ppt(_RHO, (2, 2)), "emax_ppt"),
+    "ppt_prime_lmo": (lambda: rains.ppt_prime_lmo(np.eye(4), (2, 2)),
+                      "PPT' linear oracle"),
+    "hypothesis_testing":
+        (lambda: im.hypothesis_testing(_RHO, np.eye(4) / 4, 0.1),
+         "hypothesis-testing"),
+    "diamond_norm": (lambda: dynamics.nonunitarity(qcore.depolarizing(2, 0.3)),
+                     "diamond norm"),
+}
+
+
+@pytest.mark.parametrize("name", list(_CALLERS))
+def test_callers_reject_infeasible_solve(monkeypatch, name):
+    call, label = _CALLERS[name]
+    monkeypatch.setattr(sdp, "solve", _stub("infeasible", np.inf))
+    with pytest.raises(ArithmeticError,
+                       match="%s SDP failed: infeasible" % label):
+        call()
+
+
+def test_only_sdp_reads_solve_status():
+    # the acceptance rule lives in sdp.Model.solve; any other module that
+    # reads a solve's status is a second rule
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "qbound")
+                   .glob("*.py"))
+    assert any(path.name == "sdp.py" for path in paths)
+    readers = []
+    for path in paths:
+        if path.name == "sdp.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers += ["%s:%d" % (path.name, node.lineno)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "status"]
+    assert readers == []
