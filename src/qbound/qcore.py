@@ -424,6 +424,28 @@ def covariance_check(ch, in_rep, out_rep, tol=1e-9, return_residual=False):
     return res <= tol
 
 
+def isotypic_blocks(unitaries):
+    """Isometries Q_k onto the isotypic subspaces of a finite abelian group.
+
+    The group elements commute, so a generic Hermitian combination of
+    them has one eigenvalue per character, and its eigenspaces are the
+    isotypic subspaces (Murota-Kanno-Kojima-Kojima, Japan J. Indust. Appl.
+    Math. 27 (2010)). The combination has fixed-seed random real weights,
+    and eigenvalues within 1e-8 (relative) of their neighbour share a
+    block. Every group-invariant operator A satisfies
+    A = sum_k Q_k (Q_k^dag A Q_k) Q_k^dag.
+
+    :param unitaries: the group's unitaries (mutually commuting).
+    :return: list of (d, d_k) isometries, ordered by eigenvalue.
+    """
+    w = np.random.default_rng(0).standard_normal((len(unitaries), 2))
+    H = sum(a * (U + U.conj().T) + 1j * b * (U - U.conj().T)
+            for (a, b), U in zip(w, unitaries))
+    vals, vecs = np.linalg.eigh(H)
+    cuts = np.flatnonzero(np.diff(vals) > 1e-8 * max(1.0, np.abs(vals).max()))
+    return np.split(vecs, cuts + 1, axis=1)
+
+
 def environment_unitaries(ch, in_rep, out_rep):
     """Unitaries W_g with U U_g = (V_g (x) W_g) U for the canonical U.
 

@@ -1,7 +1,8 @@
 """PPT-relaxed entanglement measures and converse-bound arithmetic.
 
 Max-Rains quantities for states, point-to-point channels and
-bidirectional channels (primal and dual programs solved independently),
+bidirectional channels (primal and dual programs solved independently;
+two-qubit bidirectional channels in Klein-symmetry blocks when they allow it),
 the PPT relaxation of the max-relative entropy of entanglement, Rains
 and sandwiched Rains relative entropies by away-step Frank-Wolfe over the
 PPT' spectrahedron, private-state privacy tests, and strong/weak-converse
@@ -14,7 +15,8 @@ from scipy.optimize import minimize_scalar
 
 from . import linalg, sdp
 from .infomeasures import binary_entropy, sandwiched_objective
-from .qcore import DensityOperator, as_matrix, choi_of
+from .qcore import (BipartiteChannel, DensityOperator, KrausChannel, as_matrix,
+                    choi_of, hw_group, isotypic_blocks)
 
 
 def rmax_state(rho, dims, tol=1e-8):
@@ -41,7 +43,7 @@ def rmax_state(rho, dims, tol=1e-8):
                                "W": W, "gap": sol.gap}
 
 
-def _inf_norm_rains_sdp(J, dims, keep_idx, transpose_idx, tol):
+def _inf_norm_rains_sdp(J, dims, keep_idx, transpose_idx, tol, label):
     """min ||Tr_{traced}{V+Y}||_inf s.t. V,Y >= 0, T(V-Y) >= J."""
     n = J.shape[0]
     keep_idx = sorted(keep_idx)
@@ -57,7 +59,7 @@ def _inf_norm_rains_sdp(J, dims, keep_idx, transpose_idx, tol):
     m.add_psd([(t, lambda X: X[0, 0] * np.eye(dk, dtype=complex)),
                (V, lambda X: -PT(X)), (Y, lambda X: -PT(X))],
               np.zeros((dk, dk), dtype=complex))
-    sol = m.solve(tol=tol, label="channel Rains")
+    sol = m.solve(tol=tol, label=label)
     return sol.primal_value, {"V": sol.primal_blocks[V], "Y": sol.primal_blocks[Y],
                               "gap": sol.gap}
 
@@ -71,7 +73,7 @@ def rmax_channel(ch, tol=1e-8):
     J = choi_of(ch).matrix
     dims = (ch.in_dim, ch.out_dim)
     gamma, wit = _inf_norm_rains_sdp(J, dims, keep_idx=[0], transpose_idx=[1],
-                                     tol=tol)
+                                     tol=tol, label="channel Rains")
     return float(np.log2(max(gamma, 1e-300))), wit
 
 
@@ -84,6 +86,132 @@ def bidirectional_choi(N):
     return J, (la, a, b, lb)
 
 
+def _bidir_kron(R, L, dims):
+    """R on (L_A, L_B) (x) L on (A, B), ordered (L_A, A, B, L_B)."""
+    la, a, b, lb = dims
+    return linalg.permute_systems(np.kron(R, L), (la, lb, a, b), [0, 2, 3, 1])
+
+
+def _bidirectional_result(primal, dual, V, Y, dual_gap, X, rho):
+    """The result dict of rmax_bidirectional from both solves."""
+    gap = abs(primal - dual)
+    value = float(np.log2(max((primal + dual) / 2, 1e-300)))
+    return {"value": value, "gamma_primal": primal, "gamma_dual": dual,
+            "gap": gap, "witness": {"V": V, "Y": Y, "gap": dual_gap},
+            "X": X, "rho": rho}
+
+
+# I, X, Z and XZ = -iY are real, so the Klein group {P (x) P} of a
+# two-qubit channel acts on its Choi operator as P (x) P (x) P (x) P on
+# (L_A, A, B, L_B). In the magic basis, whose columns are Bell states with
+# phases, every k1 (x) k2 with k1, k2 in SU(2) is real orthogonal with
+# determinant 1, and XX, YY, ZZ are diagonal (Kraus-Cirac, PRA 63, 062309
+# (2001)).
+_PAULIS = hw_group(2).unitaries
+_KLEIN = [linalg.kron(P, P, P, P) for P in _PAULIS]
+_MAGIC = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0],
+                   [0, 1j, -1, 0], [1, 0, 0, -1j]]) / np.sqrt(2)
+_EIG_MIX = 0.5772156649  # weight of Im S in the eigenbasis of S = U_B^T U_B
+
+
+def _kak_canonical(U):
+    """
+    Two-qubit KAK decomposition U = L_out Uc L_in, with Uc = M diag(D) M^dag
+    diagonal in the Bell basis and L_out, L_in in SU(2) (x) SU(2).
+
+    In the magic basis M, U_B = M^dag U M = O1 diag(D) O2 with O1, O2 in
+    SO(4). The real orthogonal O = O2^T diagonalizes the complex symmetric
+    unitary S = U_B^T U_B (Re S and Im S commute), D^2 is its spectrum, and
+    O1 = U_B O diag(D)^-1. The signs of det O and of one entry of D are
+    fixed so that O and O1 are rotations, which makes L_in and L_out local.
+
+    :return: (Uc, L_out, L_in), or None when O1 comes out not real
+        orthogonal.
+    """
+    Ub = _MAGIC.conj().T @ U @ _MAGIC
+    S = Ub.T @ Ub
+    _, O = np.linalg.eigh(S.real + _EIG_MIX * S.imag)
+    if np.linalg.det(O) < 0:
+        O[:, 0] = -O[:, 0]
+    D = np.sqrt(np.diag(O.T @ S @ O))
+    O1 = Ub @ O / D
+    if np.linalg.det(O1).real < 0:
+        D[0], O1[:, 0] = -D[0], -O1[:, 0]
+    if not (np.abs(O1.imag).max() <= 1e-9
+            and np.abs(O1 @ O1.conj().T - np.eye(4)).max() <= 1e-9):
+        return None
+    local = lambda R: _MAGIC @ R @ _MAGIC.conj().T
+    return local(np.diag(D)), local(O1.real), local(O.T)
+
+
+def _klein_residual(J):
+    """max over the Klein group of |W J W^dag - J|, W = P (x) P (x) P (x) P."""
+    return max(np.abs(W @ J @ W.conj().T - J).max() for W in _KLEIN)
+
+
+def _rmax_bidirectional_klein(J, tol):
+    """
+    Both bidirectional SDPs for a Klein-covariant J on four qubits.
+
+    An optimal point may be averaged over the group, so every variable is
+    taken invariant: sum_k Q_k V_k Q_k^dag over the four 4-dimensional
+    isotypic blocks Q_k of {P (x) P (x) P (x) P}, and rho diagonal in the
+    Bell basis q_j. T_{B L_B}, Tr_AB and rho -> rho (x) 1_AB keep
+    invariance, so each 16x16 operator inequality is the four 4x4
+    inequalities Q_j^dag (.) Q_j, and each 4x4 one on (L_A, L_B) is four
+    scalars. Returns the result dict with witnesses lifted to 16x16.
+    """
+    dims = (2, 2, 2, 2)
+    Q = isotypic_blocks(_KLEIN)
+    q = isotypic_blocks([np.kron(P, P) for P in _PAULIS])
+    T = lambda M: linalg.partial_transpose(M, dims, [2, 3])
+    PT = lambda M: linalg.partial_trace(M, dims, [0, 3])
+
+    def block(Qo, f, Qi, sign=1):
+        # X -> sign Qo^dag f(Qi X Qi^dag) Qo
+        return lambda X: sign * (Qo.conj().T @ f(Qi @ X @ Qi.conj().T) @ Qo)
+
+    def lift(Qs, blocks):
+        return sum(Qk @ Bk @ Qk.conj().T for Qk, Bk in zip(Qs, blocks))
+
+    m = sdp.Model()
+    t = m.var(1)
+    V = [m.var(4) for _ in Q]
+    Y = [m.var(4) for _ in Q]
+    m.set_objective({t: np.ones((1, 1), dtype=complex)})
+    for Qj in Q:
+        m.add_psd([(v, block(Qj, T, Qk)) for v, Qk in zip(V, Q)]
+                  + [(y, block(Qj, T, Qk, -1)) for y, Qk in zip(Y, Q)],
+                  Qj.conj().T @ J @ Qj)
+    for qj in q:
+        m.add_psd([(t, lambda X: X)]
+                  + [(w, block(qj, PT, Qk, -1))
+                     for w, Qk in zip(V + Y, Q + Q)],
+                  np.zeros((1, 1), dtype=complex))
+    sol = m.solve(tol=tol, label="bidirectional dual")
+    dual, dual_gap = sol.primal_value, sol.gap
+    Vf = lift(Q, [sol.primal_blocks[v] for v in V])
+    Yf = lift(Q, [sol.primal_blocks[y] for y in Y])
+
+    m = sdp.Model()
+    X = [m.var(4) for _ in Q]
+    r = [m.var(1) for _ in q]
+    m.set_objective({x: -(Qk.conj().T @ J @ Qk) for x, Qk in zip(X, Q)})
+    E = [_bidir_kron(qi @ qi.conj().T, np.eye(4), dims) for qi in q]
+    for Qj in Q:
+        for sign in (1, -1):
+            Ej = [Qj.conj().T @ Ei @ Qj for Ei in E]
+            m.add_psd([(ri, lambda x, B=B: x[0, 0] * B) for ri, B in zip(r, Ej)]
+                      + [(x, block(Qj, T, Qk, sign)) for x, Qk in zip(X, Q)],
+                      np.zeros((4, 4), dtype=complex))
+    m.add_eq([(ri, lambda x: x) for ri in r], np.ones((1, 1)))
+    sol = m.solve(tol=tol, label="bidirectional primal")
+    Xf = lift(Q, [sol.primal_blocks[x] for x in X])
+    rho = lift(q, [sol.primal_blocks[ri] for ri in r])
+    return _bidirectional_result(-sol.primal_value, dual, Vf, Yf, dual_gap,
+                                 Xf, rho)
+
+
 def rmax_bidirectional(N, tol=1e-9):
     """
     Bidirectional max-Rains information, via both SDPs independently.
@@ -92,23 +220,63 @@ def rmax_bidirectional(N, tol=1e-9):
     Primal: max Tr{J X}, X, rho >= 0, Tr{rho} = 1,
             -rho (x) 1_AB <= T_{B L_B}(X) <= rho (x) 1_AB.
 
-    :return: dict with primal/dual Gamma values, their gap, and the
-        log2 of the averaged common value.
+    Two-qubit to two-qubit channels are solved in the symmetry-adapted
+    basis of the Klein group {P (x) P} when their Choi operator commutes
+    with it to 1e-12: four 4x4 blocks per 16x16 operator instead of one.
+    A unitary channel is first replaced by its KAK canonical form, which
+    is Klein-covariant and has the same value, and the witnesses are
+    rotated back by its local factors. Every other channel, and a unitary
+    whose decomposition fails its check, is solved by the full SDPs. The
+    dispatch is automatic; the values agree to the solver tolerance.
+
+    :return: dict with primal/dual Gamma values, their gap, the log2 of
+        the averaged common value, the dual witness {"V", "Y", "gap"} and
+        the primal witness X, rho, all in the channel's own frame.
     """
+    if N.in_split != (2, 2) or N.out_split != (2, 2):
+        return _rmax_bidirectional_full(N, tol)
+    frame = None
+    Nc = N
+    if len(N.channel.kraus) == 1 and N.channel.trace_preserving:
+        kak = _kak_canonical(N.channel.kraus[0])
+        if kak is not None:
+            Uc, L_out, L_in = kak
+            Nc = BipartiteChannel(KrausChannel([Uc]), (2, 2), (2, 2))
+            frame = L_out, L_in
+    J, dims = bidirectional_choi(Nc)
+    if _klein_residual(J) > 1e-12:
+        return _rmax_bidirectional_full(N, tol)
+    out = _rmax_bidirectional_klein(J, tol)
+    if frame is not None:
+        # J = W Jc W^dag with W = L_in^T (x) L_out. X turns with W, and V, Y
+        # with W~ = (Y on B and L_B) W (Y on B and L_B)^dag, because
+        # T_{B L_B}(W~ M W~^dag) = W T_{B L_B}(M) W^dag (Y k Y^dag = conj(k)
+        # on SU(2)); rho turns with the (L_A, L_B) factor of W~.
+        L_out, L_in = frame
+        Y2 = np.kron(np.eye(2), _PAULIS[3])  # XZ = -iY on the second qubit
+        flip = lambda L: Y2 @ L @ Y2.conj().T
+        turn = lambda U, M: U @ M @ U.conj().T
+        W = _bidir_kron(L_in.T, L_out, dims)
+        Wt = _bidir_kron(flip(L_in.T), flip(L_out), dims)
+        wit = out["witness"]
+        out.update(X=turn(W, out["X"]), rho=turn(flip(L_in.T), out["rho"]),
+                   witness={"V": turn(Wt, wit["V"]), "Y": turn(Wt, wit["Y"]),
+                            "gap": wit["gap"]})
+    return out
+
+
+def _rmax_bidirectional_full(N, tol=1e-9):
+    """rmax_bidirectional by the two SDPs on the full Choi space (the
+    reference that the symmetry-reduced path is tested against)."""
     J, dims = bidirectional_choi(N)
     la, a, b, lb = dims
     dual, wit = _inf_norm_rains_sdp(J, dims, keep_idx=[0, 3],
-                                    transpose_idx=[2, 3], tol=tol)
+                                    transpose_idx=[2, 3], tol=tol,
+                                    label="bidirectional dual")
 
     n = la * a * b * lb
     nr = la * lb
-    dab = a * b
-
-    def embed_rho(R):
-        # rho on (L_A, L_B) -> rho (x) 1_AB on (L_A, A, B, L_B)
-        M = np.kron(R, np.eye(dab, dtype=complex))
-        return linalg.permute_systems(M, (la, lb, a, b), [0, 2, 3, 1])
-
+    embed_rho = lambda R: _bidir_kron(R, np.eye(a * b), dims)
     T = lambda X: linalg.partial_transpose(X, dims, [2, 3])
     m = sdp.Model()
     X = m.var(n)
@@ -120,12 +288,9 @@ def rmax_bidirectional(N, tol=1e-9):
     m.add_eq([(rho, lambda R: np.trace(R).real * np.ones((1, 1)))],
              np.ones((1, 1)))
     sol = m.solve(tol=tol, label="bidirectional primal")
-    primal = -sol.primal_value
-    gap = abs(primal - dual)
-    value = float(np.log2(max((primal + dual) / 2, 1e-300)))
-    return {"value": value, "gamma_primal": primal, "gamma_dual": dual,
-            "gap": gap, "witness": wit,
-            "X": sol.primal_blocks[X], "rho": sol.primal_blocks[rho]}
+    return _bidirectional_result(-sol.primal_value, dual, wit["V"], wit["Y"],
+                                 wit["gap"], sol.primal_blocks[X],
+                                 sol.primal_blocks[rho])
 
 
 def emax_ppt(rho, dims, tol=1e-8):
@@ -175,15 +340,23 @@ def ppt_prime_member(sigma, dims, slack=1e-8):
     return w[0] >= -slack and tb <= 1 + slack
 
 
-def _safe_rel_ent(R, sigma, floor=1e-14):
-    """D(R||sigma) in bits with an eigenvalue floor on sigma."""
+def _r_log_r(R):
+    """Tr{R log2 R} over the eigenvalues of R above 1e-12 of the largest."""
     wr = np.linalg.eigvalsh(R)
     wr = wr[wr > 1e-12 * max(wr.max(), 1e-300)]
+    return np.sum(wr * np.log2(wr))
+
+
+def _safe_rel_ent(R, sigma, floor=1e-14, r_log_r=None):
+    """D(R||sigma) in bits with an eigenvalue floor on sigma; r_log_r is
+    _r_log_r(R), passed in when R is fixed over many calls."""
+    if r_log_r is None:
+        r_log_r = _r_log_r(R)
     ws, Vs = np.linalg.eigh(sigma)
     ws = np.maximum(ws, floor * max(ws.max(), 1e-300))
     # weights of R on the eigenvectors of sigma
     r = np.real(np.sum(Vs.conj() * (R @ Vs), axis=0))
-    return float(np.sum(wr * np.log2(wr)) - np.sum(np.log2(ws) * r))
+    return float(r_log_r - np.sum(np.log2(ws) * r))
 
 
 def _rel_ent_gradient(R, sigma, floor=1e-14):
@@ -256,7 +429,8 @@ def rains_relative_entropy(rho, dims, gap_tol=1e-5, max_iter=500):
     R = as_matrix(rho)
     n = R.shape[0]
     sigma0 = np.eye(n, dtype=complex) / n
-    f = lambda s: _safe_rel_ent(R, s)
+    r_log_r = _r_log_r(R)
+    f = lambda s: _safe_rel_ent(R, s, r_log_r=r_log_r)
     g = lambda s: _rel_ent_gradient(R, s)
     sigma, gap, its, ok = _frank_wolfe(f, g, sigma0, dims, gap_tol, max_iter)
     return {"value": f(sigma), "sigma": sigma, "gap": gap,

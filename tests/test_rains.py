@@ -4,7 +4,7 @@ import pytest
 from qbound import infomeasures as im
 from qbound import linalg, qcore, rains
 
-from conftest import haar_unitary
+from conftest import haar_unitary, random_channel
 
 
 def test_state_bound_max_ent():
@@ -55,22 +55,165 @@ def test_bidirectional_swap_dephasing_half():
     assert out["gap"] <= 1e-6
 
 
+def _criterion_9_unitaries():
+    """The 20 Haar unitaries of criterion 9's amortization spot-checks,
+    by replaying that test's draws from default_rng(23)."""
+    rng = np.random.default_rng(23)
+    for _ in range(100):  # data processing
+        d = int(rng.integers(2, 4))
+        qcore.random_density(d, rng)
+        qcore.random_density(d, rng)
+        random_channel(d, int(rng.integers(2, 4)), int(rng.integers(2, 4)), rng)
+        rng.uniform(1.1, 3.0)
+    for _ in range(100):  # entropy-change chain
+        d = int(rng.integers(2, 5))
+        k = int(rng.integers(2, 4))
+        rng.dirichlet(np.ones(k))
+        for _ in range(k):
+            haar_unitary(d, rng)
+        qcore.random_density(d, rng)
+    unitaries = []
+    for _ in range(20):
+        unitaries.append(haar_unitary(4, rng))
+        qcore.random_density(16, rng, dims=(2, 2, 2, 2))
+    return unitaries
+
+
+def _certified_channels():
+    # a Klein-covariant channel and a Haar unitary, which is solved in
+    # its KAK canonical frame and rotated back
+    U = haar_unitary(4, np.random.default_rng(3))
+    return [qcore.partial_swap(0.25),
+            qcore.BipartiteChannel(qcore.KrausChannel([U]), (2, 2), (2, 2))]
+
+
 def test_bidirectional_primal_certificate():
-    """The primal witness of a partial-swap point, checked outside the
-    solver: -rho (x) 1 <= T_{B L_B}(X) <= rho (x) 1, Tr rho = 1, and
-    Tr{J X} is the reported primal value."""
-    N = qcore.partial_swap(0.25)
+    """The primal witness, checked outside the solver: X, rho >= 0,
+    -rho (x) 1 <= T_{B L_B}(X) <= rho (x) 1, Tr rho = 1, and Tr{J X} is
+    the reported primal value."""
+    for N in _certified_channels():
+        out = rains.rmax_bidirectional(N)
+        J, dims = rains.bidirectional_choi(N)
+        la, a, b, lb = dims
+        X, rho = out["X"], out["rho"]
+        E = linalg.permute_systems(np.kron(rho, np.eye(a * b)), (la, lb, a, b),
+                                   [0, 2, 3, 1])
+        TX = linalg.partial_transpose(X, dims, [2, 3])
+        assert np.linalg.eigvalsh(X)[0] >= -1e-8
+        assert np.linalg.eigvalsh(rho)[0] >= -1e-8
+        assert np.linalg.eigvalsh(E - TX)[0] >= -1e-8
+        assert np.linalg.eigvalsh(E + TX)[0] >= -1e-8
+        assert abs(np.trace(rho).real - 1) <= 1e-8
+        assert abs(np.trace(J @ X).real - out["gamma_primal"]) <= 1e-9
+
+
+def test_bidirectional_dual_certificate():
+    """The dual witness, checked outside the solver: V, Y >= 0,
+    T_{B L_B}(V - Y) >= J, and ||Tr_AB{V + Y}||_inf is the reported dual
+    value."""
+    for N in _certified_channels():
+        out = rains.rmax_bidirectional(N)
+        J, dims = rains.bidirectional_choi(N)
+        V, Y = out["witness"]["V"], out["witness"]["Y"]
+        assert np.linalg.eigvalsh(V)[0] >= -1e-8
+        assert np.linalg.eigvalsh(Y)[0] >= -1e-8
+        T = linalg.partial_transpose(V - Y, dims, [2, 3])
+        assert np.linalg.eigvalsh(T - J)[0] >= -1e-8
+        norm = linalg.schatten_norm(linalg.partial_trace(V + Y, dims, [0, 3]),
+                                    np.inf)
+        assert abs(norm - out["gamma_dual"]) <= 1e-8
+
+
+def test_isotypic_blocks():
+    rng = np.random.default_rng(4)
+    paulis = qcore.hw_group(2).unitaries
+    for copies, n_blocks in ((2, 4), (4, 4)):
+        group = [linalg.kron(*[P] * copies) for P in paulis]
+        n = 2 ** copies
+        Q = qcore.isotypic_blocks(group)
+        assert len(Q) == n_blocks
+        assert all(Qk.shape == (n, n // n_blocks) for Qk in Q)
+        Qall = np.hstack(Q)
+        assert np.abs(Qall.conj().T @ Qall - np.eye(n)).max() <= 1e-12
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A = sum(g @ A @ g.conj().T for g in group) / len(group)
+        for j, Qj in enumerate(Q):
+            for k, Qk in enumerate(Q):
+                if j != k:
+                    assert np.abs(Qj.conj().T @ A @ Qk).max() <= 1e-12
+
+
+def _count_full_path(monkeypatch):
+    calls = []
+    full = rains._rmax_bidirectional_full
+
+    def counted(N, tol=1e-9):
+        calls.append(N)
+        return full(N, tol)
+    monkeypatch.setattr(rains, "_rmax_bidirectional_full", counted)
+    return calls, full
+
+
+def _check_against_full(monkeypatch, N):
+    calls, full = _count_full_path(monkeypatch)
     out = rains.rmax_bidirectional(N)
+    assert calls == []  # the reduced path was taken
+    ref = full(N)
+    assert abs(out["value"] - ref["value"]) <= 1e-6
+    assert abs(out["gamma_primal"] - ref["gamma_primal"]) <= 1e-6
+    assert abs(out["gamma_dual"] - ref["gamma_dual"]) <= 1e-6
+    assert out["gap"] <= 1e-6 and ref["gap"] <= 1e-6
+
+
+_COVARIANT = dict(
+    [("partial_swap[%.2f]" % p, lambda p=p: qcore.partial_swap(float(p)))
+     for p in np.linspace(0.0, 1.0, 21)]
+    + [("identity", lambda: qcore.BipartiteChannel(qcore.identity_channel(4),
+                                                   (2, 2), (2, 2))),
+       ("swap_dephasing", lambda: qcore.swap_then_collective_dephasing(
+           0.5, np.pi)),
+       ("cnot", qcore.cnot)])
+
+
+@pytest.mark.parametrize("name", list(_COVARIANT))
+def test_bidirectional_reduced_matches_full(monkeypatch, name):
+    _check_against_full(monkeypatch, _COVARIANT[name]())
+
+
+@pytest.mark.parametrize("i", range(20))
+def test_bidirectional_kak_matches_full(monkeypatch, i):
+    U = _criterion_9_unitaries()[i]
+    N = qcore.BipartiteChannel(qcore.KrausChannel([U]), (2, 2), (2, 2))
+    _check_against_full(monkeypatch, N)
+
+
+def test_bidirectional_non_covariant_takes_full_path(monkeypatch):
+    ch = random_channel(4, 4, 2, np.random.default_rng(9))
+    N = qcore.BipartiteChannel(ch, (2, 2), (2, 2))
+    J, _ = rains.bidirectional_choi(N)
+    assert rains._klein_residual(J) > 1e-3
+    calls, _ = _count_full_path(monkeypatch)
+    out = rains.rmax_bidirectional(N)
+    assert calls == [N]
+    assert out["gap"] <= 1e-6
+
+
+@pytest.mark.parametrize("make", [lambda: qcore.partial_swap(0.3),
+                                  lambda: qcore.partial_swap(0.75),
+                                  lambda: qcore.swap_then_collective_dephasing(
+                                      0.5, np.pi),
+                                  qcore.cnot],
+                         ids=["partial_swap[0.3]", "partial_swap[0.75]",
+                              "swap_dephasing", "cnot"])
+def test_bidirectional_equals_choi_state_rmax(make):
+    # Baeuml-Das-Wilde (arXiv:1812.08223): for these channels the
+    # bidirectional max-Rains information is R_max of the normalized Choi
+    # state on (L_A A : B L_B)
+    N = make()
     J, dims = rains.bidirectional_choi(N)
     la, a, b, lb = dims
-    X, rho = out["X"], out["rho"]
-    E = linalg.permute_systems(np.kron(rho, np.eye(a * b)), (la, lb, a, b),
-                               [0, 2, 3, 1])
-    TX = linalg.partial_transpose(X, dims, [2, 3])
-    assert np.linalg.eigvalsh(E - TX)[0] >= -1e-8
-    assert np.linalg.eigvalsh(E + TX)[0] >= -1e-8
-    assert abs(np.trace(rho).real - 1) <= 1e-8
-    assert abs(np.trace(J @ X).real - out["gamma_primal"]) <= 1e-9
+    val, _ = rains.rmax_state(J / np.trace(J).real, (la * a, b * lb))
+    assert abs(val - rains.rmax_bidirectional(N)["value"]) <= 1e-6
 
 
 def test_emax_ppt_max_ent():

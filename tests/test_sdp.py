@@ -236,7 +236,7 @@ _CALLERS = {  # name: (call, label of its first SDP)
                      "channel Rains"),
     "rmax_bidirectional":
         (lambda: rains.rmax_bidirectional(qcore.partial_swap(0.3)),
-         "channel Rains"),
+         "bidirectional dual"),
     "emax_ppt": (lambda: rains.emax_ppt(_RHO, (2, 2)), "emax_ppt"),
     "ppt_prime_lmo": (lambda: rains.ppt_prime_lmo(np.eye(4), (2, 2)),
                       "PPT' linear oracle"),
