@@ -1,12 +1,14 @@
 """Open-system dynamics: entropy rates, Markovianity witnesses and
 diamond-norm based nonunitarity.
 
-Time-local generators with possibly time-dependent rates, a fixed-order
-integrator with step-doubling error control, the entropy-production
-lower bound in projector and commutator forms, witness integrals over a
-Bloch grid, the trace-distance (BLP) measure, entropy-change bound
-chains, the diamond norm as an SDP, and the analytic amplitude-damping
-families used as cross-checks.
+Time-local generators with possibly time-dependent rates, an adaptive
+embedded Dormand-Prince 5(4) integrator for one state or a (k, d, d)
+stack of states (it raises ArithmeticError rather than accept a step
+that fails its error test), the entropy-production lower bound in
+projector and commutator forms, witness integrals over a Bloch grid, the
+trace-distance (BLP) measure, entropy-change bound chains, the diamond
+norm as an SDP, and the analytic amplitude-damping families used as
+cross-checks.
 
 Entropies and entropy rates in this module are in nats.
 """
@@ -62,49 +64,75 @@ class LindbladGenerator:
         return out
 
 
-def _rk4_step(gen, t, rho, h):
-    k1 = gen.apply(t, rho)
-    k2 = gen.apply(t + h / 2, rho + h / 2 * k1)
-    k3 = gen.apply(t + h / 2, rho + h / 2 * k2)
-    k4 = gen.apply(t + h, rho + h * k3)
-    out = rho + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return (out + out.conj().T) / 2
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I, Table II.5.2). The last row of _DP_A holds the
+# fifth-order weights, so the seventh stage is the derivative at the new
+# state (first same as last); _DP_E is fifth- minus fourth-order weights.
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = ((1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+         22 / 525, -1 / 40)
+H_MIN = 1e-12  # step size below which evolve gives up
+
+
+def _dp_step(gen, t, rho, h, k1):
+    """One Dormand-Prince step: (new state, its derivative, error estimate)."""
+    K = np.empty((7,) + rho.shape, dtype=complex)
+    K[0] = k1
+    for i, (c, a) in enumerate(zip(_DP_C, _DP_A[:5]), start=1):
+        K[i] = gen.apply(t + c * h, rho + h * np.tensordot(a, K[:i], axes=1))
+    new = rho + h * np.tensordot(_DP_A[5], K[:6], axes=1)
+    new = (new + new.swapaxes(-1, -2).conj()) / 2
+    K[6] = gen.apply(t + h, new)
+    err = h * np.abs(np.tensordot(_DP_E, K, axes=1)).max()
+    return new, K[6], err
 
 
 def evolve(gen, rho0, t_grid, local_err=1e-9):
     """
     Integrate rho' = L_t(rho) through the requested time grid.
 
-    Classical fourth-order steps with step doubling: each trial step is
-    compared against two half steps and the step size adapts until the
-    per-step error estimate is below local_err.
+    Embedded Dormand-Prince 5(4) steps with first-same-as-last stages (six
+    generator applies per step), advancing the fifth-order solution. A
+    step is accepted only when its error estimate, the largest entry of
+    the fifth- minus fourth-order difference, is at most local_err; the
+    step size then adapts by the usual (local_err / err)^(1/5) rule.
 
-    :return: list of states (arrays), one per grid time.
+    :param rho0: one (d, d) state or a (k, d, d) stack of states, evolved
+        together under one step size controlled on the largest error in
+        the stack.
+    :return: list of arrays shaped like rho0, one per grid time.
+    :raises ArithmeticError: when the step size falls below H_MIN before
+        a step passes the error test.
     """
     rho = np.array(as_matrix(rho0), dtype=complex)
     t_grid = [float(t) for t in t_grid]
     t = t_grid[0]
     out = [rho.copy()]
+    k1 = gen.apply(t, rho)
+    h = 0.0
     for t_next in t_grid[1:]:
         if t_next < t:
             raise ValueError("time grid must be nondecreasing")
-        h = t_next - t
-        while t < t_next - 1e-15:
-            h = min(h, t_next - t)
-            full = _rk4_step(gen, t, rho, h)
-            half = _rk4_step(gen, t + h / 2,
-                             _rk4_step(gen, t, rho, h / 2), h / 2)
-            err = np.abs(full - half).max() / 15.0
-            if err <= local_err or h < 1e-12:
-                rho = half
-                t += h
-                if err < local_err / 32 and err > 0:
-                    h *= 2
-                elif err == 0:
-                    h *= 2
+        h = h or t_next - t
+        while t < t_next:
+            step = min(h, t_next - t)
+            new, k7, err = _dp_step(gen, t, rho, step, k1)
+            fac = 5.0 if err == 0 else 0.9 * (local_err / err) ** 0.2
+            if err <= local_err:
+                t = t_next if step == t_next - t else t + step
+                rho, k1 = new, k7
+                h = step * min(5.0, max(1.0, fac))
             else:
-                h *= 0.5
-        t = t_next
+                h = step * max(0.2, fac)
+                if h < H_MIN:
+                    raise ArithmeticError(
+                        "evolve: step size underflow at t=%.17g" % t)
         out.append(rho.copy())
     return out
 
@@ -116,7 +144,10 @@ def entropy_rate(rho, rhodot):
     return float(-np.real(np.trace(np.asarray(rhodot) @ L)))
 
 
-def support_projector(rho, cut=1e-10):
+PROJECTOR_CUT = 1e-10  # support projector cut, relative to the top eigenvalue
+
+
+def support_projector(rho, cut=PROJECTOR_CUT):
     R = as_matrix(rho)
     w, V = linalg.eigh(R)
     keep = w > cut * max(w.max(), np.finfo(float).tiny)
@@ -149,17 +180,43 @@ def witness_f(gen, t, rho, rhodot=None):
     """
     Entropy rate minus its divisibility lower bound; negative values
     witness departure from (completely) divisible dynamics.
+
+    One eigendecomposition of rho gives all three parts: the support
+    projector of support_projector, the log on the support of
+    entropy_rate and the projector form of markov_lower_bound. The value
+    is +inf where rhodot moves weight into the kernel (the rank grows).
+
+    :param rho: one (d, d) state or a (k, d, d) stack.
+    :return: a float, or an array of k values for a stack.
     """
     R = as_matrix(rho)
+    Rh = R.swapaxes(-1, -2).conj()
+    if np.abs(R - Rh).max() > linalg.HERM_TOL * max(1.0, np.abs(R).max()):
+        raise ValueError("matrix is not Hermitian within tolerance")
+    R = (R + Rh) / 2
     if rhodot is None:
         rhodot = gen.apply(t, R)
-    Pi = support_projector(R)
-    kern_gain = np.real(np.trace((np.eye(len(R)) - Pi) @ rhodot))
-    if kern_gain > 1e-12:
-        # rank is increasing: the entropy rate diverges to +inf and the
-        # support-restricted formula would undershoot it
-        return math.inf
-    return entropy_rate(R, rhodot) - markov_lower_bound(gen, t, R)
+    w, V = np.linalg.eigh(R)
+    tiny = np.finfo(float).tiny
+    keep = w > PROJECTOR_CUT * np.maximum(w.max(-1, keepdims=True), tiny)
+    on = np.abs(w) > linalg.SUPPORT_CUT * np.maximum(
+        np.abs(w).max(-1, keepdims=True), tiny)
+    with np.errstate(invalid='ignore', divide='ignore'):
+        log_w = np.where(on, np.log(w), 0.0)  # nan at negative eigenvalues
+
+    def diag(X):  # diagonal of V^dag X V
+        return np.real((V.conj() * (X @ V)).sum(-2))
+
+    d_dot = diag(rhodot)
+    kern_gain = np.where(keep, 0.0, d_dot).sum(-1)
+    rate = -(log_w * d_dot).sum(-1)
+    bound = -np.where(keep, diag(gen.adjoint_apply(t, R)), 0.0).sum(-1)
+    # rank is increasing: the entropy rate diverges to +inf and the
+    # support-restricted formula would undershoot it
+    f = np.where(kern_gain > 1e-12, math.inf, rate - bound)
+    if np.isnan(f).any():
+        raise ValueError("function undefined at a retained eigenvalue")
+    return float(f) if f.ndim == 0 else f
 
 
 def bloch_grid(n_polar=6, n_azim=12):
@@ -181,7 +238,8 @@ def nonmarkov_measure(gen, t_max, n_steps=200, states=None, local_err=1e-9):
     """
     Lower bound on a non-Markovianity measure: the integral of the
     negative part of the witness along the trajectory, maximized over a
-    grid of initial states (Bloch grid for qubits by default).
+    grid of initial states (Bloch grid for qubits by default). All states
+    evolve together as one stack.
     """
     d = gen.hamiltonian(0.0).shape[0]
     if states is None:
@@ -189,16 +247,14 @@ def nonmarkov_measure(gen, t_max, n_steps=200, states=None, local_err=1e-9):
             raise ValueError("default state grid only covers qubits")
         states = bloch_grid()
     ts = np.linspace(0.0, t_max, n_steps + 1)
-    best = 0.0
-    arg = None
-    for rho0 in states:
-        traj = evolve(gen, rho0, ts, local_err=local_err)
-        fs = np.array([witness_f(gen, t, r) for t, r in zip(ts, traj)])
-        neg = np.maximum(0.0, -fs)
-        val = float(np.trapezoid(neg, ts))
-        if val > best:
-            best, arg = val, rho0
-    return {"measure": best, "state": arg}
+    traj = evolve(gen, np.array([as_matrix(r) for r in states]), ts,
+                  local_err=local_err)
+    fs = np.array([witness_f(gen, t, r) for t, r in zip(ts, traj)])
+    vals = np.trapezoid(np.maximum(0.0, -fs), ts, axis=0)
+    i = int(np.argmax(vals))
+    if vals[i] > 0:
+        return {"measure": float(vals[i]), "state": states[i]}
+    return {"measure": 0.0, "state": None}
 
 
 def blp_measure(ts, distances):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from qbound import dynamics as dyn
 from qbound import infomeasures as im
@@ -46,6 +49,53 @@ def test_evolve_amplitude_damping():
         assert np.abs(rho - np.diag([1 - x, x])).max() < 1e-8
 
 
+def normalized_lindblad(d, rng):
+    """Constant-rate generator shaped like the divisible trajectories of
+    acceptance criterion 9: unit-norm H and one unit-norm jump at rate 0.7."""
+    H = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    H = (H + H.conj().T) / 2
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return dyn.LindbladGenerator(H / np.linalg.norm(H),
+                                 [(0.7, A / np.linalg.norm(A))])
+
+
+def test_evolve_raises_on_step_size_underflow():
+    gen = damping_generator()
+    rho0 = np.diag([0.0, 1.0]).astype(complex)
+    with pytest.raises(ArithmeticError, match="step size underflow"):
+        dyn.evolve(gen, rho0, [0.0, 1.0], local_err=0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_evolve_stack_matches_single_states(d, rng):
+    gen = random_lindblad(d, rng)
+    states = [qcore.random_density(d, rng).matrix for _ in range(4)]
+    ts = np.linspace(0.0, 1.0, 6)
+    # the stack takes the steps of its worst state, so the two runs agree
+    # to the integration error, about local_err / 2 here
+    stacked = dyn.evolve(gen, np.array(states), ts, local_err=1e-13)
+    assert len(stacked) == len(ts)
+    for i, rho0 in enumerate(states):
+        for got, want in zip(stacked,
+                             dyn.evolve(gen, rho0, ts, local_err=1e-13)):
+            assert got.shape == (len(states), d, d)
+            assert np.abs(got[i] - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_evolve_matches_exact_propagator(d, rng):
+    ts = np.linspace(0.0, 1.0, 8)
+    for _ in range(4):
+        gen = normalized_lindblad(d, rng)
+        # superoperator on row-major vec(rho), one column per matrix unit
+        S = np.column_stack([gen.apply(0.0, E.reshape(d, d)).ravel()
+                             for E in np.eye(d * d, dtype=complex)])
+        rho0 = qcore.random_density(d, rng).matrix
+        for t, rho in zip(ts, dyn.evolve(gen, rho0, ts)):
+            exact = (expm(S * t) @ rho0.ravel()).reshape(d, d)
+            assert np.abs(rho - exact).max() <= 1e-9
+
+
 def test_entropy_rate_matches_finite_difference(rng):
     gen = random_lindblad(3, rng)
     rho0 = qcore.random_density(3, rng).matrix
@@ -89,10 +139,50 @@ def test_witness_nonnegative_along_markovian(rng):
         assert dyn.witness_f(gen, t, rho) >= -1e-7
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_witness_f_is_rate_minus_projector_bound(d, rng):
+    gen = random_lindblad(d, rng)
+    for _ in range(5):
+        rho = qcore.random_density(d, rng).matrix
+        want = (dyn.entropy_rate(rho, gen.apply(0.3, rho))
+                - dyn.markov_lower_bound(gen, 0.3, rho, method="projector"))
+        assert dyn.witness_f(gen, 0.3, rho) == pytest.approx(want, abs=1e-12)
+
+
+def test_witness_f_stack_matches_single_states(rng):
+    gen = random_lindblad(3, rng)
+    v = np.array([1.0, 1j, 0.0]) / math.sqrt(2)
+    states = [qcore.random_density(3, rng).matrix for _ in range(4)]
+    states.append(np.outer(v, v.conj()))  # pure: the rank grows
+    got = dyn.witness_f(gen, 0.2, np.array(states))
+    want = [dyn.witness_f(gen, 0.2, r) for r in states]
+    assert got.shape == (len(states),)
+    assert got[-1] == math.inf
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_witness_f_infinite_when_rank_grows():
+    gen = damping_generator()
+    rho = np.diag([0.0, 1.0]).astype(complex)
+    assert dyn.witness_f(gen, 0.0, rho) == math.inf
+
+
 def test_nonmarkov_measure_vanishes_for_lindblad(rng):
     gen = damping_generator()
     rep = dyn.nonmarkov_measure(gen, 2.0, n_steps=60)
     assert rep["measure"] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_nonmarkov_measure_pinned_value():
+    """Phase-covariant qubit with a sign-changing decay rate on the default
+    Bloch grid; the value was computed with adaptive RK4 step doubling and
+    the witness evaluated state by state."""
+    Z = np.diag([1.0, -1.0]).astype(complex)
+    sm = np.array([[0, 1], [0, 0]], dtype=complex)
+    gen = dyn.LindbladGenerator(Z / 2, [(lambda t: 0.4 + math.cos(3 * t), sm),
+                                        (0.05, Z)])
+    rep = dyn.nonmarkov_measure(gen, 3.0, n_steps=200)
+    assert rep["measure"] == pytest.approx(0.31898809060796, abs=1e-9)
 
 
 def test_gadc_family_analytic_consistency():
