@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import dynamics, qcore, rains, reading
+from . import infomeasures as im
 
 
 def _num(s):
@@ -184,9 +185,7 @@ def cmd_private_rate(args):
 
     def point(q):
         cell = reading.hw_probe_cell(d=d, q=q)
-        phi = np.zeros(d * d, dtype=complex)
-        for i in range(d):
-            phi[i * d + i] = 1 / math.sqrt(d)
+        phi = qcore.max_ent_vector(d)
         p = np.full(len(cell), 1.0 / len(cell))
         rate = reading.private_reading_rate_n1(cell, p, phi)
         ci = reading.coherent_info_rate(cell, p, phi)
@@ -252,7 +251,6 @@ def cmd_nonunitarity(args):
 
 
 def cmd_props(args):
-    from . import infomeasures as im
     rng = np.random.default_rng(args.seed)
     checks = []
 
@@ -292,7 +290,7 @@ def cmd_props(args):
 
     # erasure wiretap rate
     cell = reading.hw_probe_cell(d=2, q=0.25)
-    phi = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
+    phi = qcore.max_ent_vector(2)
     p = np.full(4, 0.25)
     rate = reading.private_reading_rate_n1(cell, p, phi)
     record("erasure_wiretap_rate", abs(rate - 1.5) < 1e-8,
@@ -416,11 +414,7 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        # argparse uses exit code 2 for parse errors already
-        raise
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError) as e:

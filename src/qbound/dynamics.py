@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import infomeasures, linalg, sdp
-from .qcore import KrausChannel, as_matrix, choi_of
+from .qcore import KrausChannel, as_matrix, choi_of, identity_channel
 
 
 def _const(x):
@@ -416,7 +416,6 @@ def nonunitarity(ch, tol=1e-8):
     Diamond-norm distance of M^dag after M from the identity. Zero
     exactly for unitary (isometric) channels.
     """
-    from .qcore import identity_channel
     return diamond_distance(identity_channel(ch.in_dim),
                             backaction_channel(ch), tol=tol)
 
@@ -431,8 +430,7 @@ def unitarity_gap_check(ch, U, tol=1e-8):
     If M is diamond-close (distance delta) to a unitary channel then
     its nonunitarity is at most sqrt(2 delta) + delta.
     """
-    from .qcore import KrausChannel as KC
-    uch = KC([np.asarray(U, dtype=complex)])
+    uch = KrausChannel([np.asarray(U, dtype=complex)])
     delta = diamond_distance(ch, uch, tol=tol)
     lhs = nonunitarity(ch, tol=tol)
     bound = math.sqrt(2 * delta) + delta

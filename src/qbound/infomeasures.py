@@ -15,7 +15,6 @@ from . import linalg, sdp
 from .qcore import as_matrix
 
 INF = math.inf
-_CUT = 1e-12
 SANDWICH_FLOOR = 1e-12  # eigenvalue floor of sigma in sandwiched_objective
 
 
@@ -36,7 +35,7 @@ def entropy(rho, base='bits'):
     """
     log = _logfn(base)
     w = np.linalg.eigvalsh(as_matrix(rho))
-    cut = _CUT * max(w.max(), 1e-300)
+    cut = linalg.SUPPORT_CUT * max(w.max(), 1e-300)
     return float(-sum(v * log(v) for v in w if v > cut))
 
 
@@ -49,7 +48,8 @@ def _sigma_fn(sigma, f, rho=None):
     w, V = linalg.eigh(as_matrix(sigma))
     if rho is not None:
         r = np.real(np.sum(V.conj() * (rho @ V), axis=0))
-        if r[w <= _CUT * max(abs(w).max(), 1e-300)].sum() > 1e-10:
+        cut = linalg.SUPPORT_CUT * max(abs(w).max(), 1e-300)
+        if r[w <= cut].sum() > 1e-10:
             return None
     return linalg.fn_on_support(w, V, f)
 
@@ -60,12 +60,12 @@ def relative_entropy(rho, sigma, base='bits'):
     ws, Vs = np.linalg.eigh(S)
     # weights of rho on the eigenvectors of sigma
     r = np.real(np.sum(Vs.conj() * (R @ Vs), axis=0))
-    sup = ws > _CUT * max(abs(ws).max(), 1e-300)
+    sup = ws > linalg.SUPPORT_CUT * max(abs(ws).max(), 1e-300)
     if r[~sup].sum() > 1e-10:
         return INF
     log = _logfn(base)
     wr = np.linalg.eigvalsh(R)
-    wr = wr[wr > _CUT * max(abs(wr).max(), 1e-300)]
+    wr = wr[wr > linalg.SUPPORT_CUT * max(abs(wr).max(), 1e-300)]
     # Tr rho log sigma on the support of sigma
     return float(np.sum(wr * log(wr)) - np.sum(log(ws[sup]) * r[sup]))
 
@@ -94,7 +94,7 @@ def sandwiched_renyi(rho, sigma, alpha):
     if Se is None:
         return INF
     w = np.linalg.eigvalsh(Se @ R @ Se)
-    w = w[w > _CUT * max(abs(w).max(), 1e-300)]
+    w = w[w > linalg.SUPPORT_CUT * max(abs(w).max(), 1e-300)]
     # Tr M^alpha through logs to survive large alpha
     logtr = logsumexp(alpha * np.log(w))
     return float(logtr / ((alpha - 1) * np.log(2)))

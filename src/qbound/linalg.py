@@ -43,28 +43,27 @@ def eigh(H):
     return vals, vecs
 
 
-def matrix_fn_on_support(H, f, support_cut=SUPPORT_CUT):
+def matrix_fn_on_support(H, f):
     """
     Apply a scalar function to a Hermitian matrix on its support.
 
-    Eigenvalues with |lam| <= support_cut * max|lam| are mapped to zero,
+    Eigenvalues with |lam| <= SUPPORT_CUT * max|lam| are mapped to zero,
     so f never sees (numerically) kernel directions. Used for log, sqrt,
     inverse powers on near-singular states.
 
     :param H: Hermitian matrix.
     :param f: real scalar function applied to the retained eigenvalues.
-    :param support_cut: relative cutoff below which eigenvalues count as 0.
     :return: f(H) restricted to the support of H.
     """
-    return fn_on_support(*eigh(H), f, support_cut)
+    return fn_on_support(*eigh(H), f)
 
 
-def fn_on_support(vals, vecs, f, support_cut=SUPPORT_CUT):
+def fn_on_support(vals, vecs, f):
     """
     matrix_fn_on_support from an eigendecomposition of H already at hand,
     as returned by eigh.
     """
-    cut = support_cut * max(np.abs(vals).max(), np.finfo(float).tiny)
+    cut = SUPPORT_CUT * max(np.abs(vals).max(), np.finfo(float).tiny)
     with np.errstate(invalid='ignore', divide='ignore'):
         fvals = np.array([f(v) if abs(v) > cut else 0.0 for v in vals])
     if not np.all(np.isfinite(fvals)):

@@ -16,7 +16,9 @@ from scipy.optimize import minimize_scalar
 from . import linalg, sdp
 from .infomeasures import binary_entropy, sandwiched_objective
 from .qcore import (BipartiteChannel, DensityOperator, KrausChannel, as_matrix,
-                    choi_of, hw_group, isotypic_blocks)
+                    choi_of, hw_group, isotypic_blocks, max_ent_state)
+
+SIGMA_FLOOR = 1e-14  # relative eigenvalue floor of sigma in D(R||sigma)
 
 
 def rmax_state(rho, dims, tol=1e-8):
@@ -341,28 +343,29 @@ def ppt_prime_member(sigma, dims, slack=1e-8):
 
 
 def _r_log_r(R):
-    """Tr{R log2 R} over the eigenvalues of R above 1e-12 of the largest."""
+    """Tr{R log2 R} over the eigenvalues of R above linalg.SUPPORT_CUT of
+    the largest."""
     wr = np.linalg.eigvalsh(R)
-    wr = wr[wr > 1e-12 * max(wr.max(), 1e-300)]
+    wr = wr[wr > linalg.SUPPORT_CUT * max(wr.max(), 1e-300)]
     return np.sum(wr * np.log2(wr))
 
 
-def _safe_rel_ent(R, sigma, floor=1e-14, r_log_r=None):
+def _safe_rel_ent(R, sigma, r_log_r=None):
     """D(R||sigma) in bits with an eigenvalue floor on sigma; r_log_r is
     _r_log_r(R), passed in when R is fixed over many calls."""
     if r_log_r is None:
         r_log_r = _r_log_r(R)
     ws, Vs = np.linalg.eigh(sigma)
-    ws = np.maximum(ws, floor * max(ws.max(), 1e-300))
+    ws = np.maximum(ws, SIGMA_FLOOR * max(ws.max(), 1e-300))
     # weights of R on the eigenvectors of sigma
     r = np.real(np.sum(Vs.conj() * (R @ Vs), axis=0))
     return float(r_log_r - np.sum(np.log2(ws) * r))
 
 
-def _rel_ent_gradient(R, sigma, floor=1e-14):
+def _rel_ent_gradient(R, sigma):
     """Gradient of sigma -> -Tr{R log2 sigma} (Daleckii-Krein)."""
     ws, Vs = np.linalg.eigh(sigma)
-    ws = np.maximum(ws, floor * max(ws.max(), 1e-300))
+    ws = np.maximum(ws, SIGMA_FLOOR * max(ws.max(), 1e-300))
     return -linalg.frechet_derivative(ws, Vs, np.log, np.reciprocal, R) / np.log(2)
 
 
@@ -507,22 +510,15 @@ def make_private_state(K, theta, twists=None):
     th = as_matrix(theta)
     ds = th.shape[0]
     U = _twist_unitary(K, twists or {}, ds)
-    phi = np.zeros((K * K, K * K), dtype=complex)
-    for i in range(K):
-        for j in range(K):
-            phi[i * K + i, j * K + j] = 1.0 / K
-    gamma = U @ np.kron(phi, th) @ U.conj().T
+    gamma = U @ np.kron(max_ent_state(K), th) @ U.conj().T
     return DensityOperator(gamma, (K, K, ds))
 
 
 def privacy_test_operator(K, shield_dim, twists=None):
     """Projector Pi = U^t (Phi_K (x) 1_S) (U^t)^dag."""
     U = _twist_unitary(K, twists or {}, shield_dim)
-    phi = np.zeros((K * K, K * K), dtype=complex)
-    for i in range(K):
-        for j in range(K):
-            phi[i * K + i, j * K + j] = 1.0 / K
-    return U @ np.kron(phi, np.eye(shield_dim, dtype=complex)) @ U.conj().T
+    phi_id = np.kron(max_ent_state(K), np.eye(shield_dim, dtype=complex))
+    return U @ phi_id @ U.conj().T
 
 
 def privacy_overlap(Pi, rho):

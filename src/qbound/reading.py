@@ -11,14 +11,15 @@ import numpy as np
 from scipy.stats import norm
 
 from . import linalg
-from .infomeasures import (binary_entropy, cq_state, entropy, g_fn, holevo,
-                           mutual_information, coherent_information,
+from .infomeasures import (cq_state, g_fn, holevo, mutual_information,
+                           coherent_information,
                            conditional_mutual_information, relative_entropy,
                            rel_entropy_variance, sandwiched_objective,
                            SANDWICH_FLOOR)
-from .qcore import (IsometricExtension, KrausChannel, as_matrix,
-                    choi_of, covariance_check, depolarizing, gadc,
-                    isometric_extension, max_ent_state, hw_group)
+from .qcore import (GroupRep, IsometricExtension, as_matrix, choi_of,
+                    covariance_check, depolarizing, erasure_wiretap_isometry,
+                    gadc, isometric_extension, ket, max_ent_vector, hw_group,
+                    zero_error_pair)
 
 
 class MemoryCell:
@@ -132,7 +133,6 @@ def covariant_cell_capacity(base_channel, group):
 
 def _trivial_out_group(ch, group):
     """Output representation matching the input one when dims allow."""
-    from .qcore import GroupRep
     if ch.out_dim == ch.in_dim:
         return group
     # pad each unitary with an identity block on the extra output levels
@@ -376,12 +376,11 @@ def coherent_info_rate(cell, probs, psi):
     return float(coherent_information(red, (m, dL * dB)))
 
 
-def hw_probe_cell(base_cell_channel_factory=None, d=2, q=0.5):
+def hw_probe_cell(d=2, q=0.5):
     """
     Erasure wiretap cell: Heisenberg-Weyl encodings followed by the
     erasure wiretap isometry.
     """
-    from .qcore import erasure_wiretap_isometry
     W = erasure_wiretap_isometry(d, q)
     isos = []
     chans = []
@@ -401,7 +400,6 @@ def zero_error_certificate():
     coefficient identity sum_{jk} a_{jk} (A^y_j)^dag A^x_k = P for
     x != y (and the identity for x = y) to 1e-10.
     """
-    from .qcore import zero_error_pair, ket
     ch1, ch2 = zero_error_pair()
     A = [ch1.kraus, ch2.kraus]
     k00, k01, k11 = ket(0, 4), ket(1, 4), ket(3, 4)
@@ -441,10 +439,7 @@ def zero_error_certificate():
 
 def _iso_outputs(iso, d):
     """(LB, E) marginals of (1_L (x) V) Phi_d for an extension V."""
-    phi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        phi[i * d + i] = 1.0 / math.sqrt(d)
-    big = np.kron(np.eye(d), iso.matrix) @ phi
+    big = np.kron(np.eye(d), iso.matrix) @ max_ent_vector(d)
     R = np.outer(big, big.conj())
     dims = (d, iso.out_dim, iso.env_dim)
     return (linalg.partial_trace(R, dims, [0, 1]),

@@ -6,6 +6,11 @@ interior-point method. Complex Hermitian data enters through the real
 symmetric embedding H -> [[Re H, -Im H], [Im H, Re H]] of the constraint
 stacks.
 
+Each iteration factors every X and Z block once (Cholesky, then the
+inverse factor); Z^{-1} and both step-length searches reuse those factors.
+A block that is not numerically positive definite is lifted by a multiple
+of the identity before it is factored; that is its only fallback.
+
 Each iteration scores its iterate by the merit max(relative gap, primal
 residual, dual residual). When the best merit has not improved for
 STALL_WINDOW iterations the solve stops; a solve that ends as
@@ -189,17 +194,22 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     def inner(U, V):
         return sum(float(np.sum(u * v)) for u, v in zip(U, V))
 
-    def max_step(Xb, dXb):
+    def inv_factor(V):
+        # inverse Cholesky factor; a block that is not numerically positive
+        # definite is lifted by a multiple of the identity first
+        try:
+            L = np.linalg.cholesky(V)
+        except np.linalg.LinAlgError:
+            w0 = np.linalg.eigvalsh(V)[0]
+            lift = max(1e-12 * max(np.trace(V).real, 1.0), -2.0 * w0, 1e-14)
+            L = np.linalg.cholesky(V + lift * np.eye(len(V)))
+        return np.linalg.inv(L)
+
+    def max_step(Li, dV):
+        # largest a with V + a dV >= 0, from the inverse factors Li of V
         amax = np.inf
-        for Xc, dXc in zip(Xb, dXb):
-            try:
-                L = np.linalg.cholesky(Xc)
-            except np.linalg.LinAlgError:
-                w0 = np.linalg.eigvalsh(Xc)[0]
-                lift = max(1e-12 * max(np.trace(Xc).real, 1.0), -2.0 * w0, 1e-14)
-                L = np.linalg.cholesky(Xc + lift * np.eye(len(Xc)))
-            Li = np.linalg.inv(L)
-            w = np.linalg.eigvalsh(Li @ dXc @ Li.T)
+        for Lc, dVc in zip(Li, dV):
+            w = np.linalg.eigvalsh(Lc @ dVc @ Lc.T)
             if w[0] < 0:
                 amax = min(amax, -1.0 / w[0])
         return amax
@@ -230,13 +240,9 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         if it - best[1] >= STALL_WINDOW:
             break
 
-        Zi = []
-        for Zb in Z:
-            try:
-                Li = np.linalg.inv(np.linalg.cholesky(Zb))
-                Zi.append(Li.T @ Li)
-            except np.linalg.LinAlgError:
-                Zi.append(np.linalg.pinv(Zb, hermitian=True))
+        LX = [inv_factor(Xb) for Xb in X]
+        LZ = [inv_factor(Zb) for Zb in Z]
+        Zi = [Li.T @ Li for Li in LZ]
 
         # Schur complement M_ij = Tr(A_i X A_j Z^{-1}), built per block
         M = np.zeros((m, m))
@@ -273,8 +279,8 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
 
         # predictor
         dXa, dya, dZa = direction(0.0, None)
-        ap = min(1.0, max_step(X, dXa))
-        ad = min(1.0, max_step(Z, dZa))
+        ap = min(1.0, max_step(LX, dXa))
+        ad = min(1.0, max_step(LZ, dZa))
         mu_aff = inner([Xb + ap * d for Xb, d in zip(X, dXa)],
                        [Zb + ad * d for Zb, d in zip(Z, dZa)]) / ntot
         sigma = min(1.0, max(0.0, (mu_aff / mu)) ** 3)
@@ -282,8 +288,8 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         # corrector
         corr = [da @ dz for da, dz in zip(dXa, dZa)]
         dX, dy, dZ = direction(sigma * mu, corr)
-        ap = min(1.0, BOUNDARY_FRAC * max_step(X, dX))
-        ad = min(1.0, BOUNDARY_FRAC * max_step(Z, dZ))
+        ap = min(1.0, BOUNDARY_FRAC * max_step(LX, dX))
+        ad = min(1.0, BOUNDARY_FRAC * max_step(LZ, dZ))
         if ap < 1e-10 and ad < 1e-10:
             break
         X = [Xb + ap * d for Xb, d in zip(X, dX)]

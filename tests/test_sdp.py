@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qbound import dynamics, qcore, rains, sdp
+from qbound import dynamics, linalg, qcore, rains, sdp
 from qbound import infomeasures as im
 
 
@@ -193,6 +193,29 @@ def test_dual_multipliers_complex_and_presolved(rng):
     Z = C - sum(yi * R for yi, R in zip(y, rows))
     assert np.linalg.eigvalsh(Z)[0] >= -1e-7
     assert float(p.b @ y) == pytest.approx(sol.primal_value, abs=1e-6)
+
+
+def test_solve_factors_each_block_once_per_iteration(monkeypatch):
+    # every iteration but the last, which stops at the convergence test,
+    # factors each X and each Z block once; Z^{-1} and both step-length
+    # searches reuse those factors, and a lifted block would add calls
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+    TB = lambda X: linalg.partial_transpose(X, (2, 2), [1])
+    m = sdp.Model()
+    C, D = m.var(4), m.var(4)
+    m.set_objective({C: np.eye(4, dtype=complex), D: np.eye(4, dtype=complex)})
+    m.add_psd([(C, TB), (D, lambda X: -TB(X))], qcore.max_ent_state(2))
+    p = m.compile()
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    sol = sdp.solve(p)
+    assert sol.status == "optimal" and len(p.blocks) == 3
+    assert sol.primal_value == pytest.approx(2.0, abs=1e-7)
+    assert len(calls) == 2 * len(p.blocks) * (sol.iterations - 1)
 
 
 def _stub(status, gap):
