@@ -35,8 +35,8 @@ def entropy(rho, base='bits'):
     """
     log = _logfn(base)
     w = np.linalg.eigvalsh(as_matrix(rho))
-    cut = linalg.SUPPORT_CUT * max(w.max(), 1e-300)
-    return float(-sum(v * log(v) for v in w if v > cut))
+    w = w[w > linalg.SUPPORT_CUT * max(w.max(), 1e-300)]
+    return float(-np.sum(w * log(w)))
 
 
 def _sigma_fn(sigma, f, rho=None):
@@ -63,11 +63,8 @@ def relative_entropy(rho, sigma, base='bits'):
     sup = ws > linalg.SUPPORT_CUT * max(abs(ws).max(), 1e-300)
     if r[~sup].sum() > 1e-10:
         return INF
-    log = _logfn(base)
-    wr = np.linalg.eigvalsh(R)
-    wr = wr[wr > linalg.SUPPORT_CUT * max(abs(wr).max(), 1e-300)]
-    # Tr rho log sigma on the support of sigma
-    return float(np.sum(wr * log(wr)) - np.sum(log(ws[sup]) * r[sup]))
+    # Tr rho log rho = -S(rho); Tr rho log sigma on the support of sigma
+    return float(-entropy(R, base) - np.sum(_logfn(base)(ws[sup]) * r[sup]))
 
 
 def dmax(rho, sigma):

@@ -270,6 +270,14 @@ def adjoint_apply(ch, X):
     return ch.adjoint_apply(X)
 
 
+def apply_local(ch, rho, left, right):
+    """(id_left (x) N (x) id_right)(rho): the channel on the middle factor
+    of a state on (left, N's input, right)."""
+    R = as_matrix(rho)
+    Ks = [np.kron(np.kron(np.eye(left), K), np.eye(right)) for K in ch.kraus]
+    return sum(Kf @ R @ Kf.conj().T for Kf in Ks)
+
+
 # ---------------------------------------------------------------------------
 # channel zoo
 # ---------------------------------------------------------------------------

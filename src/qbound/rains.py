@@ -14,9 +14,10 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import linalg, sdp
-from .infomeasures import binary_entropy, sandwiched_objective
-from .qcore import (BipartiteChannel, DensityOperator, KrausChannel, as_matrix,
-                    choi_of, hw_group, isotypic_blocks, max_ent_state)
+from .infomeasures import binary_entropy, entropy, sandwiched_objective
+from .qcore import (BipartiteChannel, DensityOperator, KrausChannel,
+                    apply_local, as_matrix, choi_of, hw_group,
+                    isotypic_blocks, max_ent_state)
 
 SIGMA_FLOOR = 1e-14  # relative eigenvalue floor of sigma in D(R||sigma)
 
@@ -342,19 +343,11 @@ def ppt_prime_member(sigma, dims, slack=1e-8):
     return w[0] >= -slack and tb <= 1 + slack
 
 
-def _r_log_r(R):
-    """Tr{R log2 R} over the eigenvalues of R above linalg.SUPPORT_CUT of
-    the largest."""
-    wr = np.linalg.eigvalsh(R)
-    wr = wr[wr > linalg.SUPPORT_CUT * max(wr.max(), 1e-300)]
-    return np.sum(wr * np.log2(wr))
-
-
 def _safe_rel_ent(R, sigma, r_log_r=None):
     """D(R||sigma) in bits with an eigenvalue floor on sigma; r_log_r is
-    _r_log_r(R), passed in when R is fixed over many calls."""
+    Tr{R log2 R} = -entropy(R), passed in when R is fixed over many calls."""
     if r_log_r is None:
-        r_log_r = _r_log_r(R)
+        r_log_r = -entropy(R)
     ws, Vs = np.linalg.eigh(sigma)
     ws = np.maximum(ws, SIGMA_FLOOR * max(ws.max(), 1e-300))
     # weights of R on the eigenvectors of sigma
@@ -432,7 +425,7 @@ def rains_relative_entropy(rho, dims, gap_tol=1e-5, max_iter=500):
     R = as_matrix(rho)
     n = R.shape[0]
     sigma0 = np.eye(n, dtype=complex) / n
-    r_log_r = _r_log_r(R)
+    r_log_r = -entropy(R)
     f = lambda s: _safe_rel_ent(R, s, r_log_r=r_log_r)
     g = lambda s: _rel_ent_gradient(R, s)
     sigma, gap, its, ok = _frank_wolfe(f, g, sigma0, dims, gap_tol, max_iter)
@@ -470,10 +463,7 @@ def amortization_spotcheck(N, rho, dims, tol=1e-8):
     R = as_matrix(rho)
     la, ain, bin_, lb = dims
     a, b = N.out_split
-    out = np.zeros((la * a * b * lb,) * 2, dtype=complex)
-    for K in N.channel.kraus:
-        Kf = np.kron(np.kron(np.eye(la), K), np.eye(lb))
-        out += Kf @ R @ Kf.conj().T
+    out = apply_local(N.channel, R, la, lb)
     r_in, _ = rmax_state(R, (la * ain, bin_ * lb), tol=tol)
     r_out, _ = rmax_state(out, (la * a, b * lb), tol=tol)
     r_ch = rmax_bidirectional(N)["value"]

@@ -16,10 +16,10 @@ from .infomeasures import (cq_state, g_fn, holevo, mutual_information,
                            conditional_mutual_information, relative_entropy,
                            rel_entropy_variance, sandwiched_objective,
                            SANDWICH_FLOOR)
-from .qcore import (GroupRep, IsometricExtension, as_matrix, choi_of,
-                    covariance_check, depolarizing, erasure_wiretap_isometry,
-                    gadc, isometric_extension, ket, max_ent_vector, hw_group,
-                    zero_error_pair)
+from .qcore import (GroupRep, IsometricExtension, apply_local, as_matrix,
+                    choi_of, covariance_check, depolarizing,
+                    erasure_wiretap_isometry, gadc, isometric_extension, ket,
+                    max_ent_vector, hw_group, zero_error_pair)
 
 
 class MemoryCell:
@@ -71,20 +71,12 @@ class MemoryCell:
         joints, envs = [], []
         for i, ch in enumerate(self.channels):
             if self.wiretap is not None:
-                V = self.wiretap[i]
-                big = np.kron(np.eye(dL), V.matrix) @ psi
-                R = np.outer(big, big.conj())
-                dims = (dL, V.out_dim, V.env_dim)
-                joints.append(linalg.partial_trace(R, dims, [0, 1]))
-                envs.append(linalg.partial_trace(R, dims, [2]))
+                joint, env = _iso_outputs(self.wiretap[i], psi)
             else:
                 R = np.outer(psi, psi.conj())
-                out = np.zeros((dL * ch.out_dim,) * 2, dtype=complex)
-                for K in ch.kraus:
-                    Kf = np.kron(np.eye(dL), K)
-                    out += Kf @ R @ Kf.conj().T
-                joints.append(out)
-                envs.append(None)
+                joint, env = apply_local(ch, R, dL, 1), None
+            joints.append(joint)
+            envs.append(env)
         return joints, envs
 
 
@@ -317,13 +309,8 @@ def weak_converse_objectives(cell, probs, input_state, input_dims):
         inputs = [as_matrix(s) for s in input_state]
     else:
         inputs = [as_matrix(input_state)] * m
-    outs = []
-    for ch, phi in zip(cell.channels, inputs):
-        out = np.zeros((dR * ch.out_dim,) * 2, dtype=complex)
-        for K in ch.kraus:
-            Kf = np.kron(np.eye(dR), K)
-            out += Kf @ phi @ Kf.conj().T
-        outs.append(out)
+    outs = [apply_local(ch, phi, dR, 1)
+            for ch, phi in zip(cell.channels, inputs)]
     dB = cell.out_dim
     tau = cq_state(probs, outs)               # (X, R, B)
     nonadaptive = mutual_information(tau, (m * dR, dB))
@@ -437,11 +424,13 @@ def zero_error_certificate():
             "ok": (min_eig > 0 and resid_cross <= 1e-10)}
 
 
-def _iso_outputs(iso, d):
-    """(LB, E) marginals of (1_L (x) V) Phi_d for an extension V."""
-    big = np.kron(np.eye(d), iso.matrix) @ max_ent_vector(d)
+def _iso_outputs(iso, psi):
+    """(LB, E) marginals of (1_L (x) V) psi for an extension V and a probe
+    vector psi on (L, V's input)."""
+    dL = psi.size // iso.in_dim
+    big = np.kron(np.eye(dL), iso.matrix) @ psi
     R = np.outer(big, big.conj())
-    dims = (d, iso.out_dim, iso.env_dim)
+    dims = (dL, iso.out_dim, iso.env_dim)
     return (linalg.partial_trace(R, dims, [0, 1]),
             linalg.partial_trace(R, dims, [2]))
 
@@ -476,7 +465,7 @@ def secure_reading_deltas(kind, q, N, eta0, eta1, d=2, theta=0.5):
     else:
         raise ValueError("unknown kind %r" % kind)
     isos = [isometric_extension(ch) for ch in chans]
-    lb, env = zip(*[_iso_outputs(V, dd) for V in isos])
+    lb, env = zip(*[_iso_outputs(V, max_ent_vector(dd)) for V in isos])
     w0, w1 = lb
     e0, e1 = env
     w = q * w1 + (1 - q) * w0

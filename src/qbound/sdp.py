@@ -8,8 +8,9 @@ stacks.
 
 Each iteration factors every X and Z block once (Cholesky, then the
 inverse factor); Z^{-1} and both step-length searches reuse those factors.
-A block that is not numerically positive definite is lifted by a multiple
-of the identity before it is factored; that is its only fallback.
+A matrix is shifted only after its Cholesky fails: an X or Z block is
+then lifted by a multiple of the identity, and the Schur complement M is
+solved by least squares on M + 1e-10 I.
 
 Each iteration scores its iterate by the merit max(relative gap, primal
 residual, dual residual). When the best merit has not improved for
@@ -250,9 +251,8 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
             Vb = Zi[bi][None] @ S @ X[bi][None]
             M += np.transpose(Vb, (0, 2, 1)).reshape(m, -1) @ flat[bi].T
         M = (M + M.T) / 2
-        jitter = 1e-13 * max(1.0, np.trace(M) / m)
         try:
-            factor = cho_factor(M + jitter * np.eye(m), check_finite=False)
+            factor = cho_factor(M, check_finite=False)
             solve_M = lambda rhs: cho_solve(factor, rhs, check_finite=False)
         except np.linalg.LinAlgError:
             M_reg = M + 1e-10 * np.eye(m)

@@ -198,6 +198,22 @@ def test_bidirectional_non_covariant_takes_full_path(monkeypatch):
     assert out["gap"] <= 1e-6
 
 
+@pytest.mark.parametrize("p", [0.1, 0.3, 0.9, 0.95])
+def test_bidirectional_partial_swap_solves_end_optimal(monkeypatch, p):
+    # an unbiased Schur complement lets these solves reach the tolerance
+    # instead of stalling near the optimum as numerical_limit
+    statuses = []
+    solve = rains.sdp.solve
+
+    def recorded(prob, **kw):
+        sol = solve(prob, **kw)
+        statuses.append(sol.status)
+        return sol
+    monkeypatch.setattr(rains.sdp, "solve", recorded)
+    rains.rmax_bidirectional(qcore.partial_swap(p))
+    assert statuses and set(statuses) == {"optimal"}
+
+
 @pytest.mark.parametrize("make", [lambda: qcore.partial_swap(0.3),
                                   lambda: qcore.partial_swap(0.75),
                                   lambda: qcore.swap_then_collective_dephasing(
