@@ -2,11 +2,12 @@
 
 Max-Rains quantities for states, point-to-point channels and
 bidirectional channels (primal and dual programs solved independently;
-two-qubit bidirectional channels in Klein-symmetry blocks when they allow it),
-the PPT relaxation of the max-relative entropy of entanglement, Rains
-and sandwiched Rains relative entropies by away-step Frank-Wolfe over the
-PPT' spectrahedron, private-state privacy tests, and strong/weak-converse
-rate combinators.
+each bidirectional program has one builder, which sdp.Model reduces to the
+Klein-symmetry blocks through its iso option when the channel's Klein
+residual is at most 1e-12), the PPT relaxation of the max-relative
+entropy of entanglement, Rains and sandwiched Rains relative entropies by
+away-step Frank-Wolfe over the PPT' spectrahedron, private-state privacy
+tests, and strong/weak-converse rate combinators.
 
 All values are in bits. PPT'(A:B) = {sigma >= 0, ||T_B sigma||_1 <= 1}.
 """
@@ -46,8 +47,10 @@ def rmax_state(rho, dims, tol=1e-8):
                                "W": W, "gap": sol.gap}
 
 
-def _inf_norm_rains_sdp(J, dims, keep_idx, transpose_idx, tol, label):
-    """min ||Tr_{traced}{V+Y}||_inf s.t. V,Y >= 0, T(V-Y) >= J."""
+def _inf_norm_rains_sdp(J, dims, keep_idx, transpose_idx, tol, label,
+                        iso=(None, None)):
+    """min ||Tr_{traced}{V+Y}||_inf s.t. V,Y >= 0, T(V-Y) >= J; iso holds
+    the sdp.Model isometries of the full space and of the kept one."""
     n = J.shape[0]
     keep_idx = sorted(keep_idx)
     dk = int(np.prod([dims[k] for k in keep_idx]))
@@ -55,13 +58,13 @@ def _inf_norm_rains_sdp(J, dims, keep_idx, transpose_idx, tol, label):
     PT = lambda X: linalg.partial_trace(X, dims, keep_idx)
     m = sdp.Model()
     t = m.var(1)
-    V = m.var(n)
-    Y = m.var(n)
+    V = m.var(n, iso=iso[0])
+    Y = m.var(n, iso=iso[0])
     m.set_objective({t: np.ones((1, 1), dtype=complex)})
-    m.add_psd([(V, T), (Y, lambda X: -T(X))], J)
+    m.add_psd([(V, T), (Y, lambda X: -T(X))], J, iso=iso[0])
     m.add_psd([(t, lambda X: X[0, 0] * np.eye(dk, dtype=complex)),
                (V, lambda X: -PT(X)), (Y, lambda X: -PT(X))],
-              np.zeros((dk, dk), dtype=complex))
+              np.zeros((dk, dk), dtype=complex), iso=iso[1])
     sol = m.solve(tol=tol, label=label)
     return sol.primal_value, {"V": sol.primal_blocks[V], "Y": sol.primal_blocks[Y],
                               "gap": sol.gap}
@@ -112,6 +115,10 @@ def _bidirectional_result(primal, dual, V, Y, dual_gap, X, rho):
 # (2001)).
 _PAULIS = hw_group(2).unitaries
 _KLEIN = [linalg.kron(P, P, P, P) for P in _PAULIS]
+# its isotypic blocks on (L_A, A, B, L_B): four 4-dimensional ones; and
+# those of {P (x) P} on (L_A, L_B): the Bell states
+_KLEIN_ISO = (isotypic_blocks(_KLEIN),
+              isotypic_blocks([np.kron(P, P) for P in _PAULIS]))
 _MAGIC = np.array([[1, 0, 0, 1j], [0, 1j, 1, 0],
                    [0, 1j, -1, 0], [1, 0, 0, -1j]]) / np.sqrt(2)
 _EIG_MIX = 0.5772156649  # weight of Im S in the eigenbasis of S = U_B^T U_B
@@ -152,69 +159,6 @@ def _klein_residual(J):
     return max(np.abs(W @ J @ W.conj().T - J).max() for W in _KLEIN)
 
 
-def _rmax_bidirectional_klein(J, tol):
-    """
-    Both bidirectional SDPs for a Klein-covariant J on four qubits.
-
-    An optimal point may be averaged over the group, so every variable is
-    taken invariant: sum_k Q_k V_k Q_k^dag over the four 4-dimensional
-    isotypic blocks Q_k of {P (x) P (x) P (x) P}, and rho diagonal in the
-    Bell basis q_j. T_{B L_B}, Tr_AB and rho -> rho (x) 1_AB keep
-    invariance, so each 16x16 operator inequality is the four 4x4
-    inequalities Q_j^dag (.) Q_j, and each 4x4 one on (L_A, L_B) is four
-    scalars. Returns the result dict with witnesses lifted to 16x16.
-    """
-    dims = (2, 2, 2, 2)
-    Q = isotypic_blocks(_KLEIN)
-    q = isotypic_blocks([np.kron(P, P) for P in _PAULIS])
-    T = lambda M: linalg.partial_transpose(M, dims, [2, 3])
-    PT = lambda M: linalg.partial_trace(M, dims, [0, 3])
-
-    def block(Qo, f, Qi, sign=1):
-        # X -> sign Qo^dag f(Qi X Qi^dag) Qo
-        return lambda X: sign * (Qo.conj().T @ f(Qi @ X @ Qi.conj().T) @ Qo)
-
-    def lift(Qs, blocks):
-        return sum(Qk @ Bk @ Qk.conj().T for Qk, Bk in zip(Qs, blocks))
-
-    m = sdp.Model()
-    t = m.var(1)
-    V = [m.var(4) for _ in Q]
-    Y = [m.var(4) for _ in Q]
-    m.set_objective({t: np.ones((1, 1), dtype=complex)})
-    for Qj in Q:
-        m.add_psd([(v, block(Qj, T, Qk)) for v, Qk in zip(V, Q)]
-                  + [(y, block(Qj, T, Qk, -1)) for y, Qk in zip(Y, Q)],
-                  Qj.conj().T @ J @ Qj)
-    for qj in q:
-        m.add_psd([(t, lambda X: X)]
-                  + [(w, block(qj, PT, Qk, -1))
-                     for w, Qk in zip(V + Y, Q + Q)],
-                  np.zeros((1, 1), dtype=complex))
-    sol = m.solve(tol=tol, label="bidirectional dual")
-    dual, dual_gap = sol.primal_value, sol.gap
-    Vf = lift(Q, [sol.primal_blocks[v] for v in V])
-    Yf = lift(Q, [sol.primal_blocks[y] for y in Y])
-
-    m = sdp.Model()
-    X = [m.var(4) for _ in Q]
-    r = [m.var(1) for _ in q]
-    m.set_objective({x: -(Qk.conj().T @ J @ Qk) for x, Qk in zip(X, Q)})
-    E = [_bidir_kron(qi @ qi.conj().T, np.eye(4), dims) for qi in q]
-    for Qj in Q:
-        for sign in (1, -1):
-            Ej = [Qj.conj().T @ Ei @ Qj for Ei in E]
-            m.add_psd([(ri, lambda x, B=B: x[0, 0] * B) for ri, B in zip(r, Ej)]
-                      + [(x, block(Qj, T, Qk, sign)) for x, Qk in zip(X, Q)],
-                      np.zeros((4, 4), dtype=complex))
-    m.add_eq([(ri, lambda x: x) for ri in r], np.ones((1, 1)))
-    sol = m.solve(tol=tol, label="bidirectional primal")
-    Xf = lift(Q, [sol.primal_blocks[x] for x in X])
-    rho = lift(q, [sol.primal_blocks[ri] for ri in r])
-    return _bidirectional_result(-sol.primal_value, dual, Vf, Yf, dual_gap,
-                                 Xf, rho)
-
-
 def rmax_bidirectional(N, tol=1e-9):
     """
     Bidirectional max-Rains information, via both SDPs independently.
@@ -225,7 +169,9 @@ def rmax_bidirectional(N, tol=1e-9):
 
     Two-qubit to two-qubit channels are solved in the symmetry-adapted
     basis of the Klein group {P (x) P} when their Choi operator commutes
-    with it to 1e-12: four 4x4 blocks per 16x16 operator instead of one.
+    with it to 1e-12: the same two programs, built with the group's
+    isotypic blocks as sdp.Model isometries, so four 4x4 blocks per 16x16
+    operator instead of one.
     A unitary channel is first replaced by its KAK canonical form, which
     is Klein-covariant and has the same value, and the witnesses are
     rotated back by its local factors. Every other channel, and a unitary
@@ -249,7 +195,7 @@ def rmax_bidirectional(N, tol=1e-9):
     J, dims = bidirectional_choi(Nc)
     if _klein_residual(J) > 1e-12:
         return _rmax_bidirectional_full(N, tol)
-    out = _rmax_bidirectional_klein(J, tol)
+    out = _bidirectional_sdps(J, dims, tol, iso=_KLEIN_ISO)
     if frame is not None:
         # J = W Jc W^dag with W = L_in^T (x) L_out. X turns with W, and V, Y
         # with W~ = (Y on B and L_B) W (Y on B and L_B)^dag, because
@@ -272,22 +218,36 @@ def _rmax_bidirectional_full(N, tol=1e-9):
     """rmax_bidirectional by the two SDPs on the full Choi space (the
     reference that the symmetry-reduced path is tested against)."""
     J, dims = bidirectional_choi(N)
-    la, a, b, lb = dims
+    return _bidirectional_sdps(J, dims, tol)
+
+
+def _bidirectional_sdps(J, dims, tol, iso=(None, None)):
+    """
+    Both bidirectional SDPs of the Choi operator J on (L_A, A, B, L_B).
+
+    iso = (Q, q) holds sdp.Model isometries of the full space and of
+    (L_A, L_B): every variable lives in the blocks of its space, and so does
+    every operator inequality. This is exact when J commutes with a group
+    whose isotypic blocks these are, and T_{B L_B}, Tr_AB and
+    rho -> rho (x) 1_AB carry the group's action on one space to its action
+    on the other, as for the Klein group: an optimal point may then be
+    averaged over the group.
+    """
     dual, wit = _inf_norm_rains_sdp(J, dims, keep_idx=[0, 3],
                                     transpose_idx=[2, 3], tol=tol,
-                                    label="bidirectional dual")
-
+                                    label="bidirectional dual", iso=iso)
+    la, a, b, lb = dims
     n = la * a * b * lb
-    nr = la * lb
     embed_rho = lambda R: _bidir_kron(R, np.eye(a * b), dims)
     T = lambda X: linalg.partial_transpose(X, dims, [2, 3])
     m = sdp.Model()
-    X = m.var(n)
-    rho = m.var(nr)
+    X = m.var(n, iso=iso[0])
+    rho = m.var(la * lb, iso=iso[1])
     m.set_objective({X: -J})
     m.add_psd([(rho, embed_rho), (X, lambda M: -T(M))],
-              np.zeros((n, n), dtype=complex))
-    m.add_psd([(rho, embed_rho), (X, T)], np.zeros((n, n), dtype=complex))
+              np.zeros((n, n), dtype=complex), iso=iso[0])
+    m.add_psd([(rho, embed_rho), (X, T)], np.zeros((n, n), dtype=complex),
+              iso=iso[0])
     m.add_eq([(rho, lambda R: np.trace(R).real * np.ones((1, 1)))],
              np.ones((1, 1)))
     sol = m.solve(tol=tol, label="bidirectional primal")

@@ -356,8 +356,8 @@ def coherent_info_rate(cell, probs, psi):
     dE = cell.wiretap[0].env_dim
     omega = np.zeros(m * dL * dB * dE, dtype=complex)
     for x, (p, V) in enumerate(zip(probs, cell.wiretap)):
-        branch = np.kron(np.eye(dL), V.matrix) @ psi
-        omega[x * dL * dB * dE:(x + 1) * dL * dB * dE] = math.sqrt(p) * branch
+        omega[x * dL * dB * dE:(x + 1) * dL * dB * dE] = \
+            math.sqrt(p) * _branch(V, psi)
     R = np.outer(omega, omega.conj())
     red = linalg.partial_trace(R, (m, dL * dB, dE), [0, 1])
     return float(coherent_information(red, (m, dL * dB)))
@@ -424,11 +424,16 @@ def zero_error_certificate():
             "ok": (min_eig > 0 and resid_cross <= 1e-10)}
 
 
+def _branch(iso, psi):
+    """(1_L (x) V) psi for an extension V and a probe vector psi on
+    (L, V's input)."""
+    return np.kron(np.eye(psi.size // iso.in_dim), iso.matrix) @ psi
+
+
 def _iso_outputs(iso, psi):
-    """(LB, E) marginals of (1_L (x) V) psi for an extension V and a probe
-    vector psi on (L, V's input)."""
+    """(LB, E) marginals of (1_L (x) V) psi (see _branch)."""
     dL = psi.size // iso.in_dim
-    big = np.kron(np.eye(dL), iso.matrix) @ psi
+    big = _branch(iso, psi)
     R = np.outer(big, big.conj())
     dims = (dL, iso.out_dim, iso.env_dim)
     return (linalg.partial_trace(R, dims, [0, 1]),

@@ -20,7 +20,11 @@ iterate it met, with the objectives and gap of that iterate.
 
 A thin modeling layer (Model) turns operator equalities and one-sided
 operator inequalities over Hermitian matrix variables into the scalar
-equality form, adding PSD slack blocks for inequalities.
+equality form, adding PSD slack blocks for inequalities. A variable is
+one PSD block, or, declared with isometries iso = [Q_k], the sum
+sum_k Q_k V_k Q_k^dag of one PSD block per Q_k; an inequality given iso
+is imposed on each block Q_j^dag (.) Q_j. Model.solve returns
+primal_blocks indexed by variable, lifted back to full size.
 
 Acceptance contract: solve() is the raw solver; it reports its status
 and raises nothing for a failed solve. Model.solve() is the one place
@@ -29,7 +33,6 @@ status is optimal, or numerical_limit with gap <= max(100 tol, 1e-7),
 and raises ArithmeticError("<label> SDP failed: <status> (gap <g>)")
 otherwise. Callers read values, never the status.
 """
-import json
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lapack
 
@@ -255,8 +258,12 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
             factor = cho_factor(M, check_finite=False)
             solve_M = lambda rhs: cho_solve(factor, rhs, check_finite=False)
         except np.linalg.LinAlgError:
-            M_reg = M + 1e-10 * np.eye(m)
-            solve_M = lambda rhs: np.linalg.lstsq(M_reg, rhs, rcond=None)[0]
+            # minimum-norm least squares on M + 1e-10 I from one SVD, with
+            # lstsq's default cutoff: singular values <= m eps s_max dropped
+            U, s, Vt = np.linalg.svd(M + 1e-10 * np.eye(m))
+            kept = s > m * np.finfo(float).eps * s[0]
+            U, s, Vt = U[:, kept], s[kept], Vt[kept]
+            solve_M = lambda rhs: Vt.T @ ((U.T @ rhs) / s)
 
         def direction(sigma_mu, corr):
             # Rc = sigma*mu*I - X Z - corr   (per block)
@@ -331,116 +338,113 @@ def hermitian_basis(n):
     return basis
 
 
+def _lift(Q, B):
+    """Q B Q^dag for an isometry Q (B itself for Q = None); B may be a
+    stack of matrices."""
+    return B if Q is None else Q @ B @ Q.conj().T
+
+
 class Model:
     """Builder for SDPs over Hermitian PSD matrix variables.
 
-    Every variable is a PSD block. Operator inequalities get PSD slack
-    blocks; operator equalities are expanded over an orthonormal
-    Hermitian basis of the output space.
+    A variable of dimension n is one PSD block, or, declared with
+    iso=[Q_1, ..., Q_r] (n-row isometries with orthogonal ranges), the
+    operator sum_k Q_k V_k Q_k^dag with one PSD block V_k per Q_k.
+    Operator inequalities get PSD slack blocks; operator equalities are
+    expanded over an orthonormal Hermitian basis of the output space, or,
+    given iso, of each block Q_j^dag (.) Q_j of it; the blocks between
+    different Q_j are not constrained. The reduction is exact when a group
+    whose isotypic subspaces are the ranges of the Q_k leaves the data
+    invariant and commutes with every map (Gatermann-Parrilo, J. Pure
+    Appl. Algebra 192 (2004)). solve() returns primal_blocks indexed by
+    variable, each lifted back to full size.
     """
 
     def __init__(self):
-        self.dims = []
-        self._obj = {}
-        self._eqs = []  # (terms, G) with terms = [(var, map_fn)]
+        self._vars = []    # (isometries, or [None] for one block; first block)
+        self._sizes = []   # block dimensions, variables in order
+        self._obj = {}     # block index -> objective block
+        self._eqs = []     # (terms, G, iso); a map of None marks the slack
 
-    def var(self, dim):
-        self.dims.append(int(dim))
-        return len(self.dims) - 1
+    def var(self, dim, iso=None):
+        """Declare a variable of dimension dim; return its index."""
+        iso = [None] if iso is None else [np.asarray(Q) for Q in iso]
+        self._vars.append((iso, len(self._sizes)))
+        self._sizes += [int(dim) if Q is None else Q.shape[1] for Q in iso]
+        return len(self._vars) - 1
 
     def set_objective(self, coeffs):
         """Minimize sum_v <C_v, X_v>; coeffs maps var index -> Hermitian C_v."""
-        self._obj = {v: np.asarray(C, dtype=complex) for v, C in coeffs.items()}
+        self._obj = {}
+        for v, C in coeffs.items():
+            C = np.asarray(C, dtype=complex)
+            iso, first = self._vars[v]
+            for k, Q in enumerate(iso):
+                self._obj[first + k] = C if Q is None else Q.conj().T @ C @ Q
 
     def add_eq(self, terms, G):
         """Constrain sum_v map_v(X_v) = G (operator equality)."""
         G = np.asarray(G, dtype=complex)
-        self._eqs.append((list(terms), G))
+        self._eqs.append((list(terms), G, [None]))
 
-    def add_psd(self, terms, G):
-        """Constrain sum_v map_v(X_v) - G >= 0 via a PSD slack block."""
+    def add_psd(self, terms, G, iso=None):
+        """Constrain Q_j^dag (sum_v map_v(X_v) - G) Q_j >= 0 for each Q_j
+        in iso (Q = 1 without iso), via one PSD slack block per Q_j."""
         G = np.asarray(G, dtype=complex)
-        s = self.var(G.shape[0])
-        self.add_eq(list(terms) + [(s, lambda S: -S)], G)
+        s = self.var(G.shape[0], iso=iso)
+        self._eqs.append((list(terms) + [(s, None)], G, self._vars[s][0]))
         return s
 
     def compile(self):
-        C = []
-        for v, n in enumerate(self.dims):
-            Cb = self._obj.get(v)
-            C.append(np.zeros((n, n), dtype=complex) if Cb is None else Cb)
+        nb = len(self._sizes)
+        C = [self._obj.get(bi, np.zeros((n, n), dtype=complex))
+             for bi, n in enumerate(self._sizes)]
         A, b = [], []
         bases = {}
-        for terms, G in self._eqs:
-            d = G.shape[0]
-            if d not in bases:
-                bases[d] = hermitian_basis(d)
-            out_flat = bases[d].reshape(d * d, -1).conj()
-            # image of each input basis element under each map
-            rows = [[None] * len(self.dims) for _ in range(d * d)]
+
+        def basis(n):
+            if n not in bases:
+                bases[n] = hermitian_basis(n)
+            return bases[n]
+
+        for terms, G, out in self._eqs:
+            # conjugated output basis, each block's lifted to full size
+            dims = [G.shape[0] if Q is None else Q.shape[1] for Q in out]
+            out_flat = np.concatenate([_lift(Q, basis(d)).reshape(d * d, -1)
+                                       for Q, d in zip(out, dims)]).conj()
+            rows = [[None] * nb for _ in out_flat]
             for v, fn in terms:
-                n = self.dims[v]
-                if n not in bases:
-                    bases[n] = hermitian_basis(n)
-                in_basis = bases[n]
-                # F[l, k] = <out_l, fn(in_k)>
-                imgs = np.array([fn(Bk) for Bk in in_basis])
-                F = (out_flat @ imgs.reshape(n * n, -1).T).real
-                Av = (F @ in_basis.reshape(n * n, -1)).reshape(d * d, n, n)
-                for l in range(d * d):
-                    if rows[l][v] is None:
-                        rows[l][v] = Av[l]
-                    else:
-                        rows[l][v] = rows[l][v] + Av[l]
-            g = (out_flat @ G.ravel()).real
-            for l in range(d * d):
-                A.append(rows[l])
-                b.append(g[l])
-        return SDPProblem(self.dims, C, A, b)
+                iso, first = self._vars[v]
+                if fn is None:  # the slack: block j is -(basis of output block j)
+                    slack = [(first + j, Bl) for j, d in enumerate(dims)
+                             for Bl in basis(d)]
+                    for row, (bi, Bl) in zip(rows, slack):
+                        row[bi] = -Bl
+                    continue
+                for k, Q in enumerate(iso):
+                    bi, n = first + k, self._sizes[first + k]
+                    in_basis = basis(n)
+                    # F[l, i] = <out_l, fn(in_i)>, one map call per in_i
+                    imgs = np.array([fn(Bk) for Bk in _lift(Q, in_basis)])
+                    F = (out_flat @ imgs.reshape(n * n, -1).T).real
+                    Av = (F @ in_basis.reshape(n * n, -1)).reshape(-1, n, n)
+                    for row, Al in zip(rows, Av):
+                        row[bi] = Al if row[bi] is None else row[bi] + Al
+            A += rows
+            b += list((out_flat @ G.ravel()).real)
+        return SDPProblem(self._sizes, C, A, b)
 
     def solve(self, tol=DEFAULT_TOL, max_iter=MAX_ITER, label="model"):
         """Compile and solve; return the solution if it counts (see the
-        module docstring), else raise ArithmeticError naming label."""
+        module docstring), else raise ArithmeticError naming label. Its
+        primal_blocks hold one full-size matrix per variable."""
         sol = solve(self.compile(), tol=tol, max_iter=max_iter)
         if sol.status == "optimal" or (sol.status == "numerical_limit"
                                        and sol.gap <= max(100 * tol, 1e-7)):
+            blocks = sol.primal_blocks
+            sol.primal_blocks = [sum(_lift(Q, blocks[first + k])
+                                     for k, Q in enumerate(iso))
+                                 for iso, first in self._vars]
             return sol
         raise ArithmeticError("%s SDP failed: %s (gap %.3g)"
                               % (label, sol.status, sol.gap))
-
-
-# ---------------------------------------------------------------------------
-# JSON dump / load
-# ---------------------------------------------------------------------------
-
-def _mat_to_json(M):
-    if M is None:
-        return None
-    M = np.asarray(M, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in M]
-
-
-def _mat_from_json(data):
-    if data is None:
-        return None
-    return np.array([[complex(re, im) for re, im in row] for row in data])
-
-
-def dump_problem(p, fp):
-    obj = {
-        "blocks": p.blocks,
-        "objective": [_mat_to_json(Cb) for Cb in p.C],
-        "constraints": [
-            {"coeffs": [_mat_to_json(Ab) for Ab in row], "rhs": float(bi)}
-            for row, bi in zip(p.A, p.b)
-        ],
-    }
-    json.dump(obj, fp)
-
-
-def load_problem(fp):
-    obj = json.load(fp)
-    A = [[_mat_from_json(Ab) for Ab in c["coeffs"]] for c in obj["constraints"]]
-    b = [c["rhs"] for c in obj["constraints"]]
-    C = [_mat_from_json(Cb) for Cb in obj["objective"]]
-    return SDPProblem(obj["blocks"], C, A, b)
