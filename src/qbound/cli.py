@@ -215,17 +215,10 @@ def cmd_dynamics(args):
         fam = dynamics.gadc_family(args.omega)
         rows = [[t, fam.f(t), fam.entropy_rate(t), fam.W(t)] for t in ts]
         cols = ["t", "witness_f", "entropy_rate", "population_gap"]
-    elif args.preset == "damping":
-        rows = []
-        for t in ts:
-            _, ds = dynamics.damping_trajectory(t)
-            rows.append([t, ds])
-        cols = ["t", "entropy_rate"]
-    elif args.preset == "oscillatory":
-        rows = []
-        for t in ts:
-            _, ds = dynamics.oscillatory_trajectory(t)
-            rows.append([t, ds])
+    elif args.preset in ("damping", "oscillatory"):
+        traj = {"damping": dynamics.damping_trajectory,
+                "oscillatory": dynamics.oscillatory_trajectory}[args.preset]
+        rows = [[t, traj(t)[1]] for t in ts]
         cols = ["t", "entropy_rate"]
     else:
         raise ValueError("unknown preset %r" % args.preset)

@@ -34,9 +34,12 @@ class LindbladGenerator:
     def __init__(self, hamiltonian, jumps=()):
         self._H = _const(np.asarray(hamiltonian, dtype=complex)
                          if not callable(hamiltonian) else hamiltonian)
-        self._jumps = [(_const(g), _const(np.asarray(A, dtype=complex)
-                                          if not callable(A) else A))
-                       for g, A in jumps]
+        jumps = [(g, A if callable(A) else np.asarray(A, dtype=complex))
+                 for g, A in jumps]
+        self._jumps = [(_const(g), _const(A)) for g, A in jumps]
+        # A^dag A of each constant jump, formed once; None for a callable one
+        self._grams = [None if callable(A) else A.conj().T @ A
+                       for _, A in jumps]
 
     def hamiltonian(self, t):
         return np.asarray(self._H(t), dtype=complex)
@@ -45,12 +48,16 @@ class LindbladGenerator:
         return [(float(g(t)), np.asarray(A(t), dtype=complex))
                 for g, A in self._jumps]
 
+    def _terms(self, t):
+        """(rate, A, A^dag A) of each jump at time t."""
+        return [(g, A, A.conj().T @ A if AdA is None else AdA)
+                for (g, A), AdA in zip(self.jump_terms(t), self._grams)]
+
     def apply(self, t, rho):
         """Schroedinger-picture action on a state."""
         H = self.hamiltonian(t)
         out = -1j * (H @ rho - rho @ H)
-        for g, A in self.jump_terms(t):
-            AdA = A.conj().T @ A
+        for g, A, AdA in self._terms(t):
             out += g * (A @ rho @ A.conj().T - 0.5 * (AdA @ rho + rho @ AdA))
         return out
 
@@ -58,8 +65,7 @@ class LindbladGenerator:
         """Heisenberg-picture action on an observable."""
         H = self.hamiltonian(t)
         out = 1j * (H @ X - X @ H)
-        for g, A in self.jump_terms(t):
-            AdA = A.conj().T @ A
+        for g, A, AdA in self._terms(t):
             out += g * (A.conj().T @ X @ A - 0.5 * (AdA @ X + X @ AdA))
         return out
 

@@ -2,9 +2,12 @@
 
 Equality-form programs  min <C,X>  s.t.  <A_i,X> = b_i,  X >= 0 (block
 diagonal) are solved with a primal-dual Mehrotra predictor-corrector
-interior-point method. Complex Hermitian data enters through the real
-symmetric embedding H -> [[Re H, -Im H], [Im H, Re H]] of the constraint
-stacks.
+interior-point method. The constraints are one (m, sum_b n_b^2) matrix A:
+row i is A_i with its blocks flattened row-major and concatenated in block
+order, and every layer, from Model.compile to the iterations, reads that
+matrix as it is; block b's constraint stack is its column range. Complex
+Hermitian data enters through the real symmetric embedding
+H -> [[Re H, -Im H], [Im H, Re H]] of each block's column range.
 
 Each iteration factors every X and Z block once (Cholesky, then the
 inverse factor); Z^{-1} and both step-length searches reuse those factors.
@@ -33,6 +36,8 @@ status is optimal, or numerical_limit with gap <= max(100 tol, 1e-7),
 and raises ArithmeticError("<label> SDP failed: <status> (gap <g>)")
 otherwise. Callers read values, never the status.
 """
+import functools
+
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, lapack
 
@@ -45,33 +50,29 @@ STALL_WINDOW = 5
 class SDPProblem:
     """Block-diagonal equality-form SDP (minimize).
 
-    blocks: list of block dimensions.
+    blocks: list of block dimensions n_b.
     C: list of per-block objective matrices.
-    A: list of constraints, each a list of per-block matrices (None for a
-       zero block).
+    A: (m, sum_b n_b^2) constraint matrix, real or complex. Row i is
+       constraint i: its blocks flattened row-major and concatenated in
+       block order.
     b: right-hand sides.
     """
 
     def __init__(self, blocks, C, A, b):
         self.blocks = [int(n) for n in blocks]
         self.C = [np.asarray(Cb) for Cb in C]
-        self.A = [[None if Ab is None else np.asarray(Ab) for Ab in row]
-                  for row in A]
+        self.A = np.asarray(A)
         self.b = np.asarray(b, dtype=float)
-        for Cb, n in zip(self.C, self.blocks):
-            if Cb.shape != (n, n):
-                raise ValueError("objective block shape mismatch")
-        for row in self.A:
-            for Ab, n in zip(row, self.blocks):
-                if Ab is not None and Ab.shape != (n, n):
-                    raise ValueError("constraint block shape mismatch")
+        if len(self.C) != len(self.blocks) or any(
+                Cb.shape != (n, n) for Cb, n in zip(self.C, self.blocks)):
+            raise ValueError("objective block shape mismatch")
+        if self.A.shape != (len(self.b), sum(n * n for n in self.blocks)):
+            raise ValueError("constraint matrix shape mismatch")
 
     @property
     def is_complex(self):
-        if any(np.iscomplexobj(Cb) for Cb in self.C):
-            return True
-        return any(Ab is not None and np.iscomplexobj(Ab)
-                   for row in self.A for Ab in row)
+        return (np.iscomplexobj(self.A)
+                or any(np.iscomplexobj(Cb) for Cb in self.C))
 
 
 class SDPSolution:
@@ -90,13 +91,18 @@ class SDPSolution:
                 % (self.status, self.primal_value, self.dual_value, self.gap))
 
 
-def _stack(p):
-    """Real program data: objective blocks, per-block dense (m, n, n)
-    constraint stacks and right-hand sides.
+def _block_columns(A, blocks):
+    """Each block's column range of a constraint matrix, as views."""
+    return np.split(A, np.cumsum([n * n for n in blocks])[:-1], axis=1)
 
-    Complex Hermitian data is embedded as H -> [[Re H, -Im H], [Im H, Re H]];
-    the objective is halved and the right-hand sides doubled so the real
-    program has the optimal value of the complex one.
+
+def _stack(p):
+    """Real program data: objective blocks, the real constraint matrix in
+    the layout of p.A and right-hand sides.
+
+    Complex Hermitian data is embedded as H -> [[Re H, -Im H], [Im H, Re H]]
+    block by block; the objective is halved and the right-hand sides
+    doubled so the real program has the optimal value of the complex one.
     """
     m = len(p.A)
     cplx = p.is_complex
@@ -107,29 +113,22 @@ def _stack(p):
             return H.real
         return np.block([[H.real, -H.imag], [H.imag, H.real]])
 
-    C, stacks = [], []
-    for bi, n in enumerate(p.blocks):
-        S = np.zeros((m, n, n), dtype=complex if cplx else float)
-        for i, row in enumerate(p.A):
-            if row[bi] is not None:
-                S[i] = row[bi]
-        stacks.append(real(S))
-        C.append(real(p.C[bi]) / k)
-    return C, stacks, k * p.b
+    A = np.hstack([real(Ab.reshape(m, n, n)).reshape(m, -1)
+                   for Ab, n in zip(_block_columns(p.A, p.blocks), p.blocks)])
+    return [real(Cb) / k for Cb in p.C], A, k * p.b
 
 
-def _presolve(stacks, b):
+def _presolve(A, b):
     """Drop linearly dependent constraint rows; detect inconsistency.
 
     LAPACK's pivoted Cholesky (?pstrf) reveals the rank of the Gram matrix
-    of the vectorized rows, scaled to unit diagonal so that pivoting keeps
-    the rows farthest from the span of those already kept, not the
-    longest. A pivot at or below m * eps is rounding, so the rows left are
-    dependent; they must agree with the kept ones on their right-hand sides.
+    A A^T of the rows, scaled to unit diagonal so that pivoting keeps the
+    rows farthest from the span of those already kept, not the longest. A
+    pivot at or below m * eps is rounding, so the rows left are dependent;
+    they must agree with the kept ones on their right-hand sides.
     """
     m = len(b)
-    vecs = np.hstack([S.reshape(m, -1) for S in stacks])
-    G = vecs @ vecs.T
+    G = A @ A.T
     d = np.sqrt(G.diagonal())
     d[d == 0] = 1.0
     G /= np.outer(d, d)
@@ -164,9 +163,9 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     k = 2 if cplx else 1
     if sum(p.blocks) * k > 512:
         raise ValueError("total block dimension too large")
-    C, stacks, b = _stack(p)
+    C, A, b = _stack(p)
     blocks = [len(Cb) for Cb in C]
-    keep, inconsistent = _presolve(stacks, b)
+    keep, inconsistent = _presolve(A, b)
     y_all = np.zeros(len(p.A))
     if inconsistent:
         return SDPSolution(np.inf, -np.inf, None, y_all, np.inf, "infeasible")
@@ -177,8 +176,8 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         # programs never hit this, return the trivial point
         return SDPSolution(0.0, 0.0, [np.zeros((n, n)) for n in p.blocks],
                            y_all, 0.0, "optimal")
-    stacks = [S[keep] for S in stacks]
-    flat = [S.reshape(m, -1) for S in stacks]
+    flat = _block_columns(A[keep], blocks)
+    stacks = [F.reshape(m, n, n) for F, n in zip(flat, blocks)]
 
     normC = max(1.0, max(np.linalg.norm(Cb) for Cb in C))
     normA = max(1.0, max(np.linalg.norm(F, axis=1).max() for F in flat))
@@ -265,36 +264,28 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
             U, s, Vt = U[:, kept], s[kept], Vt[kept]
             solve_M = lambda rhs: Vt.T @ ((U.T @ rhs) / s)
 
-        def direction(sigma_mu, corr):
-            # Rc = sigma*mu*I - X Z - corr   (per block)
-            Rc, T = [], []
-            for bi in range(len(blocks)):
-                Rcb = -X[bi] @ Z[bi]
-                if sigma_mu:
-                    Rcb = Rcb + sigma_mu * np.eye(blocks[bi])
-                if corr is not None:
-                    Rcb = Rcb - corr[bi]
-                Rc.append(Rcb)
-                T.append((Rcb - X[bi] @ Rd[bi]) @ Zi[bi])
+        def direction(Rc):
+            # the step for complementarity residual Rc (per block)
+            T = [(Rcb - Xb @ Rdb) @ Zib
+                 for Rcb, Xb, Rdb, Zib in zip(Rc, X, Rd, Zi)]
             dy = solve_M(rp - op_A(T))
             dZ = [Rb - Ab for Rb, Ab in zip(Rd, op_At(dy))]
-            dX = []
-            for bi in range(len(blocks)):
-                dXb = (Rc[bi] - X[bi] @ dZ[bi]) @ Zi[bi]
-                dX.append((dXb + dXb.T) / 2)
-            return dX, dy, dZ
+            dX = [(Rcb - Xb @ dZb) @ Zib
+                  for Rcb, Xb, dZb, Zib in zip(Rc, X, dZ, Zi)]
+            return [(d + d.T) / 2 for d in dX], dy, dZ
 
-        # predictor
-        dXa, dya, dZa = direction(0.0, None)
+        # predictor: Rc = -X Z
+        Rc0 = [-Xb @ Zb for Xb, Zb in zip(X, Z)]
+        dXa, dya, dZa = direction(Rc0)
         ap = min(1.0, max_step(LX, dXa))
         ad = min(1.0, max_step(LZ, dZa))
         mu_aff = inner([Xb + ap * d for Xb, d in zip(X, dXa)],
                        [Zb + ad * d for Zb, d in zip(Z, dZa)]) / ntot
         sigma = min(1.0, max(0.0, (mu_aff / mu)) ** 3)
 
-        # corrector
-        corr = [da @ dz for da, dz in zip(dXa, dZa)]
-        dX, dy, dZ = direction(sigma * mu, corr)
+        # corrector: Rc = sigma mu I - X Z - dXa dZa
+        dX, dy, dZ = direction([R + sigma * mu * np.eye(len(R)) - da @ dz
+                                for R, da, dz in zip(Rc0, dXa, dZa)])
         ap = min(1.0, BOUNDARY_FRAC * max_step(LX, dX))
         ad = min(1.0, BOUNDARY_FRAC * max_step(LZ, dZ))
         if ap < 1e-10 and ad < 1e-10:
@@ -319,8 +310,10 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
 # modeling layer: Hermitian matrix variables, operator (in)equalities
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def hermitian_basis(n):
-    """Orthonormal (Hilbert-Schmidt) basis of n x n Hermitian matrices."""
+    """Orthonormal (Hilbert-Schmidt) basis of n x n Hermitian matrices,
+    as a read-only (n^2, n, n) array shared by every caller."""
     basis = np.zeros((n * n, n, n), dtype=complex)
     k = 0
     s = 1.0 / np.sqrt(2.0)
@@ -335,6 +328,7 @@ def hermitian_basis(n):
             basis[k, i, j] = -1j * s
             basis[k, j, i] = 1j * s
             k += 1
+    basis.flags.writeable = False
     return basis
 
 
@@ -396,42 +390,40 @@ class Model:
         return s
 
     def compile(self):
-        nb = len(self._sizes)
         C = [self._obj.get(bi, np.zeros((n, n), dtype=complex))
              for bi, n in enumerate(self._sizes)]
-        A, b = [], []
-        bases = {}
-
-        def basis(n):
-            if n not in bases:
-                bases[n] = hermitian_basis(n)
-            return bases[n]
-
-        for terms, G, out in self._eqs:
+        # each equation has one row per basis element of each output block
+        outs = [[G.shape[0] if Q is None else Q.shape[1] for Q in out]
+                for _, G, out in self._eqs]
+        m = sum(d * d for dims in outs for d in dims)
+        A = np.zeros((m, sum(n * n for n in self._sizes)), dtype=complex)
+        cols = _block_columns(A, self._sizes)  # views: writes land in A
+        b = np.zeros(m)
+        r0 = 0
+        for (terms, G, out), dims in zip(self._eqs, outs):
             # conjugated output basis, each block's lifted to full size
-            dims = [G.shape[0] if Q is None else Q.shape[1] for Q in out]
-            out_flat = np.concatenate([_lift(Q, basis(d)).reshape(d * d, -1)
-                                       for Q, d in zip(out, dims)]).conj()
-            rows = [[None] * nb for _ in out_flat]
+            out_flat = np.concatenate([
+                _lift(Q, hermitian_basis(d)).reshape(d * d, -1)
+                for Q, d in zip(out, dims)]).conj()
+            r1 = r0 + len(out_flat)
             for v, fn in terms:
                 iso, first = self._vars[v]
                 if fn is None:  # the slack: block j is -(basis of output block j)
-                    slack = [(first + j, Bl) for j, d in enumerate(dims)
-                             for Bl in basis(d)]
-                    for row, (bi, Bl) in zip(rows, slack):
-                        row[bi] = -Bl
+                    r = r0
+                    for bi, d in enumerate(dims, start=first):
+                        B = hermitian_basis(d).reshape(d * d, -1)
+                        cols[bi][r:r + d * d] = -B
+                        r += d * d
                     continue
-                for k, Q in enumerate(iso):
-                    bi, n = first + k, self._sizes[first + k]
-                    in_basis = basis(n)
+                for bi, Q in enumerate(iso, start=first):
+                    n = self._sizes[bi]
+                    B = hermitian_basis(n)
                     # F[l, i] = <out_l, fn(in_i)>, one map call per in_i
-                    imgs = np.array([fn(Bk) for Bk in _lift(Q, in_basis)])
+                    imgs = np.array([fn(Bk) for Bk in _lift(Q, B)])
                     F = (out_flat @ imgs.reshape(n * n, -1).T).real
-                    Av = (F @ in_basis.reshape(n * n, -1)).reshape(-1, n, n)
-                    for row, Al in zip(rows, Av):
-                        row[bi] = Al if row[bi] is None else row[bi] + Al
-            A += rows
-            b += list((out_flat @ G.ravel()).real)
+                    cols[bi][r0:r1] += F @ B.reshape(n * n, -1)
+            b[r0:r1] = (out_flat @ G.ravel()).real
+            r0 = r1
         return SDPProblem(self._sizes, C, A, b)
 
     def solve(self, tol=DEFAULT_TOL, max_iter=MAX_ITER, label="model"):

@@ -13,7 +13,7 @@ def scalar_lp():
     return sdp.SDPProblem(
         blocks=[1, 1],
         C=[np.array([[1.0]]), np.array([[0.0]])],
-        A=[[np.array([[1.0]]), np.array([[-1.0]])]],
+        A=[[1.0, -1.0]],
         b=[1.0])
 
 
@@ -71,7 +71,8 @@ def test_presolve_drops_dependent_rows():
     p = sdp.SDPProblem(
         blocks=[2],
         C=[np.eye(2)],
-        A=[[np.eye(2)], [2 * np.eye(2)], [np.diag([1.0, 0.0])]],
+        A=[np.eye(2).ravel(), 2 * np.eye(2).ravel(),
+           np.diag([1.0, 0.0]).ravel()],
         b=[1.0, 2.0, 0.25])
     sol = sdp.solve(p)
     assert sol.status == "optimal"
@@ -82,7 +83,7 @@ def test_presolve_detects_inconsistency():
     p = sdp.SDPProblem(
         blocks=[2],
         C=[np.eye(2)],
-        A=[[np.eye(2)], [2 * np.eye(2)]],
+        A=[np.eye(2).ravel(), 2 * np.eye(2).ravel()],
         b=[1.0, 3.0])
     sol = sdp.solve(p)
     assert sol.status == "infeasible"
@@ -102,7 +103,8 @@ def test_presolve_blocked_rank_reveal(rng):
     C = np.eye(n) + np.diag(rng.uniform(0, 1, n))
 
     def problem(R, b):
-        return sdp.SDPProblem(blocks=[n], C=[C], A=[[Ri] for Ri in R], b=b)
+        return sdp.SDPProblem(blocks=[n], C=[C], A=R.reshape(len(R), -1),
+                              b=b)
 
     b = np.einsum("kij,ji->k", rows, X0)
     full = problem(rows[order], b[order])
@@ -122,7 +124,7 @@ def test_unbounded_dual_reports_infeasible():
     p = sdp.SDPProblem(
         blocks=[1, 1],
         C=[np.array([[1.0]]), np.array([[1.0]])],
-        A=[[np.array([[1.0]]), np.array([[1.0]])]],
+        A=[[1.0, 1.0]],
         b=[-1.0])
     sol = sdp.solve(p)
     assert sol.status in ("infeasible", "numerical_limit")
@@ -134,10 +136,21 @@ def test_tolerance_validation():
 
 
 def test_block_budget_enforced():
-    p = sdp.SDPProblem(blocks=[600], C=[np.eye(600)], A=[[np.eye(600)]],
-                       b=[1.0])
+    p = sdp.SDPProblem(blocks=[600], C=[np.eye(600)],
+                       A=[np.eye(600).ravel()], b=[1.0])
     with pytest.raises(ValueError):
         sdp.solve(p)
+
+
+@pytest.mark.parametrize("C, A, b", [
+    ([np.ones((1, 1)), np.eye(2)], np.zeros((1, 4)), [1.0]),  # width 4 != 5
+    ([np.ones((1, 1)), np.eye(2)], np.zeros((2, 5)), [1.0]),  # 2 rows, 1 b
+    ([np.eye(2), np.eye(2)], np.zeros((1, 5)), [1.0]),  # 2x2 C for n = 1
+    ([np.ones((1, 1))], np.zeros((1, 5)), [1.0]),  # one C for two blocks
+])
+def test_problem_shape_mismatch_raises(C, A, b):
+    with pytest.raises(ValueError):
+        sdp.SDPProblem([1, 2], C, A, b)
 
 
 def test_hermitian_basis_orthonormal():
@@ -166,14 +179,14 @@ def test_dual_multipliers_complex_and_presolved(rng):
     # min Tr CX s.t. Tr X = 1 has the multiplier lambda_min(C); the real
     # embedding must not halve it
     C = np.array([[1.0, 1j], [-1j, 2.0]])
-    sol = sdp.solve(sdp.SDPProblem([2], [C], [[np.eye(2)]], [1.0]))
+    sol = sdp.solve(sdp.SDPProblem([2], [C], [np.eye(2).ravel()], [1.0]))
     assert sol.dual_multipliers[0] == pytest.approx((3 - np.sqrt(5)) / 2,
                                                     abs=1e-7)
     # a duplicated row is dropped by the presolve but keeps its slot
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     C = (A + A.conj().T) / 2
     rows = [np.eye(3), 2 * np.eye(3), np.diag([1.0, 0.0, 0.0])]
-    p = sdp.SDPProblem([3], [C], [[R] for R in rows], [1.0, 2.0, 0.25])
+    p = sdp.SDPProblem([3], [C], [R.ravel() for R in rows], [1.0, 2.0, 0.25])
     sol = sdp.solve(p)
     y = sol.dual_multipliers
     assert sol.status == "optimal" and len(y) == len(p.A)
