@@ -393,14 +393,14 @@ def diamond_norm(J, in_dim, tol=1e-8):
     J = (J + J.conj().T) / 2
     n = J.shape[0]
     dout = n // in_dim
+    Tr = lambda R: np.trace(R, axis1=1, axis2=2).real[:, None, None]
     m = sdp.Model()
     W = m.var(n)
     r = m.var(in_dim)
     m.set_objective({W: -J})
     m.add_psd([(r, lambda R: np.kron(R, np.eye(dout, dtype=complex))),
                (W, lambda X: -X)], np.zeros((n, n), dtype=complex))
-    m.add_eq([(r, lambda R: np.trace(R).real * np.ones((1, 1)))],
-             np.ones((1, 1)))
+    m.add_eq([(r, Tr)], np.ones((1, 1)))
     sol = m.solve(tol=tol, label="diamond norm")
     return float(2 * max(0.0, -sol.primal_value))
 

@@ -146,12 +146,12 @@ def hypothesis_testing(rho, sigma, eps, tol=1e-8):
         raise ValueError("eps must be in [0, 1)")
     R, S = as_matrix(rho), as_matrix(sigma)
     d = R.shape[0]
+    TrR = lambda X: np.trace(X @ R, axis1=1, axis2=2).real[:, None, None]
     m = sdp.Model()
     lam = m.var(d)
     m.set_objective({lam: S})
     m.add_psd([(lam, lambda X: -X)], -np.eye(d, dtype=complex))   # Lambda <= 1
-    m.add_psd([(lam, lambda X: np.real(np.trace(X @ R)) * np.ones((1, 1)))],
-              (1 - eps) * np.ones((1, 1)))
+    m.add_psd([(lam, TrR)], (1 - eps) * np.ones((1, 1)))
     sol = m.solve(tol=min(tol, 1e-8), label="hypothesis-testing")
     v = sol.primal_value
     if v < max(1e-10, 10 * tol):

@@ -4,7 +4,10 @@ Eigendecompositions, matrix functions restricted to the support and
 their Frechet derivatives, tensor-product bookkeeping (kron / partial
 trace / partial transpose) and Schatten norms. Everything works on plain
 numpy arrays; subsystem 0 is the most significant tensor index
-throughout.
+throughout. partial_trace, partial_transpose and permute_systems also take
+a (..., d, d) stack of matrices and return the stack of results; the
+functions with a per-matrix support cut or tolerance (check_hermitian,
+eigh, matrix_fn_on_support) take one square matrix only.
 """
 import numpy as np
 
@@ -15,8 +18,9 @@ TIE_CUT = 1e-8  # about sqrt(machine eps): relative gap below which eigenvalues 
 
 def _as_matrix(M):
     M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("expected a square matrix, got shape %s" % (M.shape,))
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError("expected a square matrix or a stack of them, got "
+                         "shape %s" % (M.shape,))
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix has non-finite entries")
     return M
@@ -25,6 +29,8 @@ def _as_matrix(M):
 def check_hermitian(H, tol=HERM_TOL):
     """Symmetrize H after checking it is Hermitian within tol."""
     H = _as_matrix(H)
+    if H.ndim != 2:
+        raise ValueError("expected one square matrix, got shape %s" % (H.shape,))
     scale = max(1.0, np.abs(H).max())
     if np.abs(H - H.conj().T).max() > tol * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
@@ -111,9 +117,9 @@ def _check_shape(M, dims):
     dims = tuple(int(d) for d in dims)
     if any(d <= 0 for d in dims):
         raise ValueError("subsystem dimensions must be positive")
-    if int(np.prod(dims)) != M.shape[0]:
+    if int(np.prod(dims)) != M.shape[-1]:
         raise ValueError("subsystem dims %s inconsistent with matrix dim %d"
-                         % (dims, M.shape[0]))
+                         % (dims, M.shape[-1]))
     return M, dims
 
 
@@ -122,46 +128,48 @@ def partial_trace(M, dims, keep):
     Trace out all subsystems not listed in keep.
 
     :param M: matrix on the tensor product of subsystems `dims`
-        (subsystem 0 most significant).
+        (subsystem 0 most significant), or a (..., d, d) stack of them.
     :param dims: ordered subsystem dimensions.
     :param keep: iterable of subsystem indices to retain (original order).
-    :return: reduced matrix on the kept subsystems.
+    :return: reduced matrix on the kept subsystems (a stack for a stack).
     """
     M, dims = _check_shape(M, dims)
     n = len(dims)
     keep = sorted(set(int(k) for k in keep))
     if any(k < 0 or k >= n for k in keep):
         raise IndexError("keep index out of range")
-    T = M.reshape(dims + dims)
+    k = M.ndim - 2
+    T = M.reshape(M.shape[:-2] + dims + dims)
     # trace out the complement, highest index first so positions stay valid
     nrow = n
     for ax in sorted(set(range(n)) - set(keep), reverse=True):
-        T = np.trace(T, axis1=ax, axis2=ax + nrow)
+        T = np.trace(T, axis1=k + ax, axis2=k + ax + nrow)
         nrow -= 1
-    d_keep = int(np.prod([dims[k] for k in keep])) if keep else 1
-    return T.reshape(d_keep, d_keep)
+    d_keep = int(np.prod([dims[j] for j in keep])) if keep else 1
+    return T.reshape(M.shape[:-2] + (d_keep, d_keep))
 
 
 def partial_transpose(M, dims, transpose):
     """
     Transpose the listed subsystems in place, leave the rest alone.
 
-    :param M: matrix on the tensor product of subsystems `dims`.
+    :param M: matrix on the tensor product of subsystems `dims`, or a
+        (..., d, d) stack of them.
     :param dims: ordered subsystem dimensions.
     :param transpose: iterable of subsystem indices to transpose.
-    :return: the partially transposed matrix, same shape as M.
+    :return: the partially transposed matrix (or stack), same shape as M.
     """
     M, dims = _check_shape(M, dims)
     n = len(dims)
     tset = set(int(t) for t in transpose)
     if any(t < 0 or t >= n for t in tset):
         raise IndexError("transpose index out of range")
-    T = M.reshape(dims + dims)
-    perm = list(range(2 * n))
+    k = M.ndim - 2
+    perm = list(range(k + 2 * n))
     for t in tset:
-        perm[t], perm[t + n] = perm[t + n], perm[t]
-    d = int(np.prod(dims))
-    return T.transpose(perm).reshape(d, d)
+        perm[k + t], perm[k + t + n] = perm[k + t + n], perm[k + t]
+    T = M.reshape(M.shape[:-2] + dims + dims)
+    return T.transpose(perm).reshape(M.shape)
 
 
 def permute_systems(M, dims, perm):
@@ -169,19 +177,21 @@ def permute_systems(M, dims, perm):
     Reorder tensor factors of M so that new subsystem k is old subsystem
     perm[k].
 
-    :param M: matrix on the tensor product of subsystems `dims`.
+    :param M: matrix on the tensor product of subsystems `dims`, or a
+        (..., d, d) stack of them.
     :param dims: current ordered subsystem dimensions.
     :param perm: permutation given as the list of old indices in new order.
+    :return: the permuted matrix (or stack), same shape as M.
     """
     M, dims = _check_shape(M, dims)
     n = len(dims)
     perm = [int(p) for p in perm]
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation")
-    T = M.reshape(dims + dims)
-    axes = perm + [p + n for p in perm]
-    d = int(np.prod(dims))
-    return T.transpose(axes).reshape(d, d)
+    k = M.ndim - 2
+    axes = list(range(k)) + [k + p for p in perm] + [k + n + p for p in perm]
+    T = M.reshape(M.shape[:-2] + dims + dims)
+    return T.transpose(axes).reshape(M.shape)
 
 
 def schatten_norm(M, p):

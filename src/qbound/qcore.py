@@ -217,15 +217,12 @@ class GroupRep:
 
 
 def choi_of(ch):
+    """J = sum_ij |i><j| (x) N(|i><j|), from one call of N on the (d, d, d, d)
+    stack of matrix units |i><j|."""
     d = ch.in_dim
-    blocks = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = 1.0
-            blocks[i][j] = ch.apply(E)
-    J = np.block(blocks)
-    return ChoiOperator(J, d)
+    imgs = ch.apply(np.eye(d * d, dtype=complex).reshape(d, d, d, d))
+    n = d * imgs.shape[-1]
+    return ChoiOperator(imgs.transpose(0, 2, 1, 3).reshape(n, n), d)
 
 
 def channel_of(J):
@@ -257,17 +254,6 @@ def isometric_extension(ch):
 
 def complementary(ch):
     return isometric_extension(ch).complementary_channel()
-
-
-def apply(ch, rho):
-    out = ch.apply(rho)
-    if isinstance(rho, DensityOperator):
-        return DensityOperator(out, subnormalized=not ch.trace_preserving)
-    return out
-
-
-def adjoint_apply(ch, X):
-    return ch.adjoint_apply(X)
 
 
 def apply_local(ch, rho, left, right):

@@ -62,7 +62,7 @@ def _inf_norm_rains_sdp(J, dims, keep_idx, transpose_idx, tol, label,
     Y = m.var(n, iso=iso[0])
     m.set_objective({t: np.ones((1, 1), dtype=complex)})
     m.add_psd([(V, T), (Y, lambda X: -T(X))], J, iso=iso[0])
-    m.add_psd([(t, lambda X: X[0, 0] * np.eye(dk, dtype=complex)),
+    m.add_psd([(t, lambda X: X * np.eye(dk, dtype=complex)),
                (V, lambda X: -PT(X)), (Y, lambda X: -PT(X))],
               np.zeros((dk, dk), dtype=complex), iso=iso[1])
     sol = m.solve(tol=tol, label=label)
@@ -96,15 +96,6 @@ def _bidir_kron(R, L, dims):
     """R on (L_A, L_B) (x) L on (A, B), ordered (L_A, A, B, L_B)."""
     la, a, b, lb = dims
     return linalg.permute_systems(np.kron(R, L), (la, lb, a, b), [0, 2, 3, 1])
-
-
-def _bidirectional_result(primal, dual, V, Y, dual_gap, X, rho):
-    """The result dict of rmax_bidirectional from both solves."""
-    gap = abs(primal - dual)
-    value = float(np.log2(max((primal + dual) / 2, 1e-300)))
-    return {"value": value, "gamma_primal": primal, "gamma_dual": dual,
-            "gap": gap, "witness": {"V": V, "Y": Y, "gap": dual_gap},
-            "X": X, "rho": rho}
 
 
 # I, X, Z and XZ = -iY are real, so the Klein group {P (x) P} of a
@@ -240,6 +231,7 @@ def _bidirectional_sdps(J, dims, tol, iso=(None, None)):
     n = la * a * b * lb
     embed_rho = lambda R: _bidir_kron(R, np.eye(a * b), dims)
     T = lambda X: linalg.partial_transpose(X, dims, [2, 3])
+    Tr = lambda R: np.trace(R, axis1=1, axis2=2).real[:, None, None]
     m = sdp.Model()
     X = m.var(n, iso=iso[0])
     rho = m.var(la * lb, iso=iso[1])
@@ -248,12 +240,13 @@ def _bidirectional_sdps(J, dims, tol, iso=(None, None)):
               np.zeros((n, n), dtype=complex), iso=iso[0])
     m.add_psd([(rho, embed_rho), (X, T)], np.zeros((n, n), dtype=complex),
               iso=iso[0])
-    m.add_eq([(rho, lambda R: np.trace(R).real * np.ones((1, 1)))],
-             np.ones((1, 1)))
+    m.add_eq([(rho, Tr)], np.ones((1, 1)))
     sol = m.solve(tol=tol, label="bidirectional primal")
-    return _bidirectional_result(-sol.primal_value, dual, wit["V"], wit["Y"],
-                                 wit["gap"], sol.primal_blocks[X],
-                                 sol.primal_blocks[rho])
+    primal = -sol.primal_value
+    return {"value": float(np.log2(max((primal + dual) / 2, 1e-300))),
+            "gamma_primal": primal, "gamma_dual": dual,
+            "gap": abs(primal - dual), "witness": wit,
+            "X": sol.primal_blocks[X], "rho": sol.primal_blocks[rho]}
 
 
 def emax_ppt(rho, dims, tol=1e-8):
@@ -280,6 +273,7 @@ def ppt_prime_lmo(G, dims, tol=1e-9):
     G = np.asarray(G, dtype=complex)
     n = G.shape[0]
     TB = lambda X: linalg.partial_transpose(X, dims, [1])
+    Tr = lambda X: np.trace(X, axis1=1, axis2=2).real[:, None, None]
     m = sdp.Model()
     S = m.var(n)
     C = m.var(n)
@@ -288,9 +282,7 @@ def ppt_prime_lmo(G, dims, tol=1e-9):
     m.set_objective({S: G})
     m.add_eq([(S, lambda X: X), (C, lambda X: -TB(X)), (D, TB)],
              np.zeros((n, n), dtype=complex))
-    m.add_eq([(C, lambda X: np.trace(X).real * np.ones((1, 1))),
-              (D, lambda X: np.trace(X).real * np.ones((1, 1))),
-              (u, lambda X: X)], np.ones((1, 1)))
+    m.add_eq([(C, Tr), (D, Tr), (u, lambda X: X)], np.ones((1, 1)))
     sol = m.solve(tol=tol, label="PPT' linear oracle")
     return sol.primal_blocks[S]
 

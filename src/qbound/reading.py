@@ -97,15 +97,13 @@ class EnvCell:
         self.interaction = interaction
         if cell is not None:
             din = cell.in_dim
+            # the matrix units |i><j| of the cell input, as one stack
+            E = np.eye(din * din, dtype=complex).reshape(din, din, din, din)
             for th, ch in zip(self.theta, cell.channels):
-                for i in range(din):
-                    for j in range(din):
-                        E = np.zeros((din, din), dtype=complex)
-                        E[i, j] = 1.0
-                        lhs = interaction.apply(np.kron(E, th))
-                        if np.abs(lhs - ch.apply(E)).max() > tol:
-                            raise ValueError("interaction does not "
-                                             "reproduce the cell channel")
+                lhs = interaction.apply(np.kron(E, th))
+                if np.abs(lhs - ch.apply(E)).max() > tol:
+                    raise ValueError("interaction does not "
+                                     "reproduce the cell channel")
         self.cell = cell
 
 

@@ -23,7 +23,10 @@ iterate it met, with the objectives and gap of that iterate.
 
 A thin modeling layer (Model) turns operator equalities and one-sided
 operator inequalities over Hermitian matrix variables into the scalar
-equality form, adding PSD slack blocks for inequalities. A variable is
+equality form, adding PSD slack blocks for inequalities. Each linear map
+acts on a stack: given a (k, n, n) stack of inputs it returns the
+(k, d, d) stack of their images, and compile calls it once per (term,
+block), on that block's Hermitian basis lifted to full size. A variable is
 one PSD block, or, declared with isometries iso = [Q_k], the sum
 sum_k Q_k V_k Q_k^dag of one PSD block per Q_k; an inequality given iso
 is imposed on each block Q_j^dag (.) Q_j. Model.solve returns
@@ -344,6 +347,10 @@ class Model:
     A variable of dimension n is one PSD block, or, declared with
     iso=[Q_1, ..., Q_r] (n-row isometries with orthogonal ranges), the
     operator sum_k Q_k V_k Q_k^dag with one PSD block V_k per Q_k.
+    A term (v, fn) of add_eq or add_psd maps a (k, n, n) stack of inputs
+    to the (k, d, d) stack of their images, d the constraint's dimension;
+    compile calls fn once per block of v, on that block's Hermitian basis
+    lifted to n x n.
     Operator inequalities get PSD slack blocks; operator equalities are
     expanded over an orthonormal Hermitian basis of the output space, or,
     given iso, of each block Q_j^dag (.) Q_j of it; the blocks between
@@ -418,8 +425,8 @@ class Model:
                 for bi, Q in enumerate(iso, start=first):
                     n = self._sizes[bi]
                     B = hermitian_basis(n)
-                    # F[l, i] = <out_l, fn(in_i)>, one map call per in_i
-                    imgs = np.array([fn(Bk) for Bk in _lift(Q, B)])
+                    # F[l, i] = <out_l, fn(in_i)>, one map call per stack
+                    imgs = fn(_lift(Q, B))
                     F = (out_flat @ imgs.reshape(n * n, -1).T).real
                     cols[bi][r0:r1] += F @ B.reshape(n * n, -1)
             b[r0:r1] = (out_flat @ G.ravel()).real

@@ -119,6 +119,36 @@ def test_permute_systems_on_kron(rng):
     assert np.allclose(swapped, np.kron(B, A), atol=1e-12)
 
 
+@pytest.mark.parametrize("fn, dims, arg", [
+    (linalg.partial_trace, (2, 3), [0]),
+    (linalg.partial_trace, (3, 3), [1]),
+    (linalg.partial_trace, (2, 2, 3), [0, 2]),
+    (linalg.partial_trace, (3, 2, 2), []),
+    (linalg.partial_transpose, (2, 3), [1]),
+    (linalg.partial_transpose, (3, 3), [0]),
+    (linalg.partial_transpose, (2, 2, 2, 2), [2, 3]),
+    (linalg.permute_systems, (2, 3), [1, 0]),
+    (linalg.permute_systems, (2, 3, 2), [2, 0, 1]),
+    (linalg.permute_systems, (2, 2, 2, 2), [0, 2, 3, 1]),
+])
+def test_tensor_functions_act_on_stacks(rng, fn, dims, arg):
+    # a stack, with one or two leading axes, gives the per-matrix results
+    # bit for bit
+    d = int(np.prod(dims))
+    S = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+    out = fn(S, dims, arg)
+    assert np.array_equal(out, np.array([fn(M, dims, arg) for M in S]))
+    assert np.array_equal(fn(S.reshape(5, 1, d, d), dims, arg), out[:, None])
+
+
+def test_spectral_functions_reject_stacks(rng):
+    S = np.array([random_herm(3, rng) for _ in range(2)])
+    with pytest.raises(ValueError):
+        linalg.eigh(S)
+    with pytest.raises(ValueError):
+        linalg.matrix_fn_on_support(S, np.exp)
+
+
 def test_schatten_norms(rng):
     M = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     s = np.linalg.svd(M, compute_uv=False)

@@ -32,7 +32,7 @@ def test_largest_eigenvalue(rng):
     m = sdp.Model()
     t = m.var(1)
     m.set_objective({t: np.ones((1, 1))})
-    m.add_psd([(t, lambda X: X[0, 0] * np.eye(4))], H)
+    m.add_psd([(t, lambda X: X * np.eye(4))], H)
     sol = m.solve()
     assert sol.status == "optimal"
     assert abs(sol.primal_value - np.linalg.eigvalsh(H)[-1]) < 1e-6
@@ -45,7 +45,7 @@ def test_complex_embedding_value(rng):
     m = sdp.Model()
     t = m.var(1)
     m.set_objective({t: np.ones((1, 1))})
-    m.add_psd([(t, lambda X: X[0, 0] * np.eye(3, dtype=complex))], H)
+    m.add_psd([(t, lambda X: X * np.eye(3, dtype=complex))], H)
     sol = m.solve()
     assert abs(sol.primal_value - np.linalg.eigvalsh(H)[-1]) < 1e-6
 
@@ -57,7 +57,7 @@ def test_trace_constrained_min(rng):
     m = sdp.Model()
     X = m.var(3)
     m.set_objective({X: C})
-    m.add_eq([(X, lambda M: np.trace(M).real * np.ones((1, 1)))],
+    m.add_eq([(X, lambda M: np.trace(M, axis1=1, axis2=2).real[:, None, None])],
              np.ones((1, 1)))
     sol = m.solve()
     assert abs(sol.primal_value - np.linalg.eigvalsh(C)[0]) < 1e-6
@@ -235,10 +235,24 @@ def _z2_model(iso):
     m = sdp.Model()
     X = m.var(4, iso=iso)
     m.set_objective({X: C})
-    m.add_eq([(X, lambda M: np.trace(M).real * np.ones((1, 1)))],
+    m.add_eq([(X, lambda M: np.trace(M, axis1=1, axis2=2).real[:, None, None])],
              np.ones((1, 1)))
     s = m.add_psd([(X, lambda M: -K @ M @ K.conj().T)], -B, iso=iso)
     return m, X, s, (U, K, B)
+
+
+def test_compile_calls_each_map_once_per_term_and_block():
+    # one call per block of the variable, on the stack of its lifted basis
+    calls = []
+
+    def counted(X):
+        calls.append(X.shape)
+        return X
+    m = sdp.Model()
+    X = m.var(4, iso=[np.eye(4)[:, [0, 2]], np.eye(4)[:, [1, 3]]])
+    m.add_psd([(X, counted)], np.zeros((4, 4)))
+    m.compile()
+    assert calls == [(4, 4, 4), (4, 4, 4)]
 
 
 def test_model_iso_matches_full():
