@@ -172,6 +172,7 @@ class BipartiteChannel:
 
     def __init__(self, channel, in_split, out_split):
         self.channel = channel
+        self.in_dim, self.out_dim = channel.in_dim, channel.out_dim
         self.in_split = tuple(int(d) for d in in_split)
         self.out_split = tuple(int(d) for d in out_split)
         if int(np.prod(self.in_split)) != channel.in_dim:

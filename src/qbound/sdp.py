@@ -4,16 +4,19 @@ Equality-form programs  min <C,X>  s.t.  <A_i,X> = b_i,  X >= 0 (block
 diagonal) are solved with a primal-dual Mehrotra predictor-corrector
 interior-point method. The constraints are one (m, sum_b n_b^2) matrix A:
 row i is A_i with its blocks flattened row-major and concatenated in block
-order, and every layer, from Model.compile to the iterations, reads that
-matrix as it is; block b's constraint stack is its column range. Complex
-Hermitian data enters through the real symmetric embedding
+order; Model.compile writes it and the presolve reads it as it is, and
+the iterations copy each size class's columns once. Complex Hermitian
+data enters through the real symmetric embedding
 H -> [[Re H, -Im H], [Im H, Re H]] of each block's column range.
 
-Each iteration factors every X and Z block once (Cholesky, then the
-inverse factor); Z^{-1} and both step-length searches reuse those factors.
-A matrix is shifted only after its Cholesky fails: an X or Z block is
-then lifted by a multiple of the identity, and the Schur complement M is
-solved by least squares on M + 1e-10 I.
+The iterates keep the blocks of one size as one (k, n, n) stack: each
+iteration factors every X and Z block once, by one batched Cholesky and
+inverse per stack, and Z^{-1} and both step-length searches (one batched
+eigvalsh per stack) reuse those factors. Sums across blocks are added in
+block order. A matrix is shifted only after its Cholesky fails: a stack is
+then factored block by block, an X or Z block lifted by a multiple of the
+identity, and the Schur complement M solved by least squares on
+M + 1e-10 I.
 
 Each iteration scores its iterate by the merit max(relative gap, primal
 residual, dual residual). When the best merit has not improved for
@@ -94,18 +97,22 @@ class SDPSolution:
                 % (self.status, self.primal_value, self.dual_value, self.gap))
 
 
-def _block_columns(A, blocks):
-    """Each block's column range of a constraint matrix, as views."""
-    return np.split(A, np.cumsum([n * n for n in blocks])[:-1], axis=1)
+def _size_classes(dims):
+    """[(n, indices of blocks of size n, their columns)], n as first met."""
+    offsets = np.cumsum([0] + [n * n for n in dims])
+    idx = {n: np.flatnonzero(np.equal(dims, n)) for n in dict.fromkeys(dims)}
+    return [(n, i, (offsets[i][:, None] + np.arange(n * n)).ravel())
+            for n, i in idx.items()]
 
 
 def _stack(p):
-    """Real program data: objective blocks, the real constraint matrix in
-    the layout of p.A and right-hand sides.
+    """Real program data: objective blocks stacked per size class (sizes in
+    order of first appearance), the real constraint matrix in the layout of
+    p.A and right-hand sides.
 
     Complex Hermitian data is embedded as H -> [[Re H, -Im H], [Im H, Re H]]
-    block by block; the objective is halved and the right-hand sides
-    doubled so the real program has the optimal value of the complex one.
+    per size class, on its (m, k, n, n) stack; the objective is halved and
+    the right-hand sides doubled, so the real program's optimum is the same.
     """
     m = len(p.A)
     cplx = p.is_complex
@@ -116,9 +123,12 @@ def _stack(p):
             return H.real
         return np.block([[H.real, -H.imag], [H.imag, H.real]])
 
-    A = np.hstack([real(Ab.reshape(m, n, n)).reshape(m, -1)
-                   for Ab, n in zip(_block_columns(p.A, p.blocks), p.blocks)])
-    return [real(Cb) / k for Cb in p.C], A, k * p.b
+    A, C = np.empty((m, k * k * p.A.shape[1])), []
+    for (n, i, cols), (_, _, out) in zip(
+            _size_classes(p.blocks), _size_classes([k * n for n in p.blocks])):
+        A[:, out] = real(p.A[:, cols].reshape(m, len(i), n, n)).reshape(m, -1)
+        C.append(real(np.stack([p.C[bi] for bi in i])) / k)
+    return C, A, k * p.b
 
 
 def _presolve(A, b):
@@ -167,7 +177,7 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     if sum(p.blocks) * k > 512:
         raise ValueError("total block dimension too large")
     C, A, b = _stack(p)
-    blocks = [len(Cb) for Cb in C]
+    blocks = [k * n for n in p.blocks]
     keep, inconsistent = _presolve(A, b)
     y_all = np.zeros(len(p.A))
     if inconsistent:
@@ -179,33 +189,41 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         # programs never hit this, return the trivial point
         return SDPSolution(0.0, 0.0, [np.zeros((n, n)) for n in p.blocks],
                            y_all, 0.0, "optimal")
-    flat = _block_columns(A[keep], blocks)
-    stacks = [F.reshape(m, n, n) for F, n in zip(flat, blocks)]
+    # block b is entry j of size class c's (k, n, n) stack, (c, j) = pos[b]
+    classes = _size_classes(blocks)
+    F = [A[np.ix_(keep, cols)] for _, _, cols in classes]  # class columns
+    sizes = [n for n, _, _ in classes]
+    pos = [(sizes.index(n), blocks[:i].count(n)) for i, n in enumerate(blocks)]
+    flat = [F[c].reshape(m, -1, n * n)[:, j] for (c, j), n in zip(pos, blocks)]
+    eyes = [np.broadcast_to(np.eye(n), (len(i), n, n)) for n, i, _ in classes]
 
-    normC = max(1.0, max(np.linalg.norm(Cb) for Cb in C))
-    normA = max(1.0, max(np.linalg.norm(F, axis=1).max() for F in flat))
+    normC = max(1.0, max(np.linalg.norm(Cb) for Cc in C for Cb in Cc))
+    normA = max(1.0, max(np.linalg.norm(Fb, axis=1).max() for Fb in flat))
     normb = max(1.0, np.abs(b).max())
     scale = max(10.0, np.sqrt(ntot), ntot * normb / normA)
-    X = [scale * np.eye(n) for n in blocks]
-    Z = [max(10.0, np.sqrt(ntot), normC, normA) * np.eye(n) for n in blocks]
+    X = [scale * I for I in eyes]
+    Z = [max(10.0, np.sqrt(ntot), normC, normA) * I for I in eyes]
     y = np.zeros(m)
 
-    def op_A(Vb):
-        # <A_i, V> = sum_jk (A_i)_jk V_kj per block
-        return sum(F @ V.T.ravel() for F, V in zip(flat, Vb))
+    def op_A(V):
+        # <A_i, V> = sum_jk (A_i)_jk V_kj per block, added in block order
+        return sum(Fb @ V[c][j].T.ravel() for Fb, (c, j) in zip(flat, pos))
 
     def op_At(v):
-        return [(v @ F).reshape(n, n) for F, n in zip(flat, blocks)]
+        return [(v @ Fc).reshape(-1, n, n) for Fc, n in zip(F, sizes)]
 
-    def inner(U, V):
-        return sum(float(np.sum(u * v)) for u, v in zip(U, V))
+    def inner(U, V):  # per-block sums, added in block order
+        s = [np.sum(u * v, axis=(1, 2)).tolist() for u, v in zip(U, V)]
+        return sum(s[c][j] for c, j in pos)
 
     def inv_factor(V):
-        # inverse Cholesky factor; a block that is not numerically positive
-        # definite is lifted by a multiple of the identity first
+        # inverse Cholesky factors of a stack, or block by block if one fails;
+        # a block that is not positive definite is lifted by a multiple of I
         try:
             L = np.linalg.cholesky(V)
         except np.linalg.LinAlgError:
+            if V.ndim == 3:
+                return np.stack([inv_factor(Vb) for Vb in V])
             w0 = np.linalg.eigvalsh(V)[0]
             lift = max(1e-12 * max(np.trace(V).real, 1.0), -2.0 * w0, 1e-14)
             L = np.linalg.cholesky(V + lift * np.eye(len(V)))
@@ -214,10 +232,10 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     def max_step(Li, dV):
         # largest a with V + a dV >= 0, from the inverse factors Li of V
         amax = np.inf
-        for Lc, dVc in zip(Li, dV):
-            w = np.linalg.eigvalsh(Lc @ dVc @ Lc.T)
-            if w[0] < 0:
-                amax = min(amax, -1.0 / w[0])
+        for L, dVc in zip(Li, dV):
+            w = np.linalg.eigvalsh(L @ dVc @ L.transpose(0, 2, 1))[:, 0].min()
+            if w < 0:
+                amax = min(amax, -1.0 / w)
         return amax
 
     status = "numerical_limit"
@@ -233,7 +251,7 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         dobj = float(b @ y)
         relgap = gap / (1.0 + abs(pobj))
         rp_n = np.linalg.norm(rp) / (1.0 + np.linalg.norm(b))
-        rd_n = max(np.linalg.norm(Rb) for Rb in Rd) / normC
+        rd_n = max(np.linalg.norm(R) for Rb in Rd for R in Rb) / normC
         merit = max(relgap, rp_n, rd_n)
         if merit < best[0]:
             best = (merit, it, X, y)
@@ -248,13 +266,13 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
 
         LX = [inv_factor(Xb) for Xb in X]
         LZ = [inv_factor(Zb) for Zb in Z]
-        Zi = [Li.T @ Li for Li in LZ]
+        Zi = [Li.transpose(0, 2, 1) @ Li for Li in LZ]
 
-        # Schur complement M_ij = Tr(A_i X A_j Z^{-1}), built per block
+        # Schur complement M_ij = Tr(A_i X A_j Z^{-1}), added in block order
         M = np.zeros((m, m))
-        for bi, S in enumerate(stacks):
-            Vb = Zi[bi][None] @ S @ X[bi][None]
-            M += np.transpose(Vb, (0, 2, 1)).reshape(m, -1) @ flat[bi].T
+        for Fb, n, (c, j) in zip(flat, blocks, pos):
+            Vb = Zi[c][j][None] @ Fb.reshape(m, n, n) @ X[c][j][None]
+            M += np.transpose(Vb, (0, 2, 1)).reshape(m, -1) @ Fb.T
         M = (M + M.T) / 2
         try:
             factor = cho_factor(M, check_finite=False)
@@ -268,14 +286,14 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
             solve_M = lambda rhs: Vt.T @ ((U.T @ rhs) / s)
 
         def direction(Rc):
-            # the step for complementarity residual Rc (per block)
+            # the step for complementarity residual Rc (per size class)
             T = [(Rcb - Xb @ Rdb) @ Zib
                  for Rcb, Xb, Rdb, Zib in zip(Rc, X, Rd, Zi)]
             dy = solve_M(rp - op_A(T))
             dZ = [Rb - Ab for Rb, Ab in zip(Rd, op_At(dy))]
             dX = [(Rcb - Xb @ dZb) @ Zib
                   for Rcb, Xb, dZb, Zib in zip(Rc, X, dZ, Zi)]
-            return [(d + d.T) / 2 for d in dX], dy, dZ
+            return [(d + d.transpose(0, 2, 1)) / 2 for d in dX], dy, dZ
 
         # predictor: Rc = -X Z
         Rc0 = [-Xb @ Zb for Xb, Zb in zip(X, Z)]
@@ -287,8 +305,8 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         sigma = min(1.0, max(0.0, (mu_aff / mu)) ** 3)
 
         # corrector: Rc = sigma mu I - X Z - dXa dZa
-        dX, dy, dZ = direction([R + sigma * mu * np.eye(len(R)) - da @ dz
-                                for R, da, dz in zip(Rc0, dXa, dZa)])
+        dX, dy, dZ = direction([R + sigma * mu * I - da @ dz
+                                for R, I, da, dz in zip(Rc0, eyes, dXa, dZa)])
         ap = min(1.0, BOUNDARY_FRAC * max_step(LX, dX))
         ad = min(1.0, BOUNDARY_FRAC * max_step(LZ, dZ))
         if ap < 1e-10 and ad < 1e-10:
@@ -301,6 +319,7 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         _, _, X, y = best
     pobj = inner(C, X)
     dobj = float(b @ y)
+    X = [X[c][j] for c, j in pos]
     if cplx:
         X = [(Xr[:n, :n] + Xr[n:, n:]) / 2 + 1j * (Xr[n:, :n] - Xr[:n, n:]) / 2
              for Xr, n in zip(X, p.blocks)]
@@ -404,7 +423,8 @@ class Model:
                 for _, G, out in self._eqs]
         m = sum(d * d for dims in outs for d in dims)
         A = np.zeros((m, sum(n * n for n in self._sizes)), dtype=complex)
-        cols = _block_columns(A, self._sizes)  # views: writes land in A
+        # each block's column range, as views: writes land in A
+        cols = np.split(A, np.cumsum([n * n for n in self._sizes])[:-1], 1)
         b = np.zeros(m)
         r0 = 0
         for (terms, G, out), dims in zip(self._eqs, outs):

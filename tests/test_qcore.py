@@ -21,6 +21,15 @@ def test_choi_output_of(rng):
     assert np.abs(J.output_of(rho.matrix) - ch.apply(rho)).max() < 1e-12
 
 
+def test_choi_of_bipartite_channel():
+    # a BipartiteChannel has the dimensions of the channel it wraps
+    N = qcore.cnot()
+    assert (N.in_dim, N.out_dim) == (4, 4)
+    J, J_ref = qcore.choi_of(N), qcore.choi_of(N.channel)
+    assert np.array_equal(J.matrix, J_ref.matrix)
+    assert (J.in_dim, J.out_dim) == (J_ref.in_dim, J_ref.out_dim)
+
+
 def test_depolarizing_action(rng):
     d, q = 3, 0.4
     ch = qcore.depolarizing(d, q)

@@ -198,8 +198,9 @@ def test_dual_multipliers_complex_and_presolved(rng):
 
 def test_solve_factors_each_block_once_per_iteration(monkeypatch):
     # every iteration but the last, which stops at the convergence test,
-    # factors each X and each Z block once; Z^{-1} and both step-length
-    # searches reuse those factors, and a lifted block would add calls
+    # factors each X and each Z block once, with one batched call per size
+    # class; Z^{-1} and both step-length searches reuse those factors, and a
+    # lifted block would add calls
     calls = []
     cholesky = np.linalg.cholesky
 
@@ -208,15 +209,47 @@ def test_solve_factors_each_block_once_per_iteration(monkeypatch):
         return cholesky(a)
     TB = lambda X: linalg.partial_transpose(X, (2, 2), [1])
     m = sdp.Model()
-    C, D = m.var(4), m.var(4)
-    m.set_objective({C: np.eye(4, dtype=complex), D: np.eye(4, dtype=complex)})
+    C, D, t = m.var(4), m.var(4), m.var(1)
+    m.set_objective({C: np.eye(4, dtype=complex), D: np.eye(4, dtype=complex),
+                     t: np.ones((1, 1), dtype=complex)})
     m.add_psd([(C, TB), (D, lambda X: -TB(X))], qcore.max_ent_state(2))
     p = m.compile()
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     sol = sdp.solve(p)
-    assert sol.status == "optimal" and len(p.blocks) == 3
+    assert sol.status == "optimal" and p.blocks == [4, 4, 1, 4]
     assert sol.primal_value == pytest.approx(2.0, abs=1e-7)
-    assert len(calls) == 2 * len(p.blocks) * (sol.iterations - 1)
+    factoring = sol.iterations - 1
+    # matrices factored: the leading stack sizes of all calls
+    assert sum(int(np.prod(s[:-2])) for s in calls) == \
+        2 * len(p.blocks) * factoring
+    assert len(calls) == 2 * len(set(p.blocks)) * factoring
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_interleaved_block_sizes_closed_form(rng, cplx):
+    """min sum_b <C_b, X_b> s.t. Tr X_b = 1, X_b >= 0 is solved at X_b the
+    projector onto C_b's lowest eigenvector, with value sum_b lambda_min(C_b).
+    The sizes interleave, so the solver's stacks per size class must map
+    back to block order."""
+    sizes = [3, 1, 3, 2, 1]
+    offsets = np.cumsum([0] + [n * n for n in sizes])
+    A = np.zeros((len(sizes), offsets[-1]))
+    C, lowest = [], []
+    for bi, n in enumerate(sizes):
+        A[bi, offsets[bi]:offsets[bi + 1]] = np.eye(n).ravel()
+        G = rng.standard_normal((n, n))
+        if cplx:
+            G = G + 1j * rng.standard_normal((n, n))
+        Q = np.linalg.qr(G)[0]
+        w = np.arange(n) + rng.uniform(-1.0, 1.0)  # eigenvalue gaps of 1
+        C.append(Q @ np.diag(w) @ Q.conj().T)
+        lowest.append((w[0], Q[:, 0]))
+    sol = sdp.solve(sdp.SDPProblem(sizes, C, A, np.ones(len(sizes))))
+    assert sol.status == "optimal"
+    assert abs(sol.primal_value - sum(w for w, _ in lowest)) <= 1e-7
+    assert [X.shape for X in sol.primal_blocks] == [(n, n) for n in sizes]
+    for X, (_, u) in zip(sol.primal_blocks, lowest):
+        assert np.abs(X - np.outer(u, u.conj())).max() <= 1e-6
 
 
 def _z2_model(iso):
