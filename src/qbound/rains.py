@@ -11,6 +11,9 @@ tests, and strong/weak-converse rate combinators.
 
 All values are in bits. PPT'(A:B) = {sigma >= 0, ||T_B sigma||_1 <= 1}.
 """
+import copy
+import functools
+
 import numpy as np
 from scipy.optimize import minimize_scalar
 
@@ -268,10 +271,13 @@ def emax_ppt(rho, dims, tol=1e-8):
     return float(np.log2(max(sol.primal_value, 1e-300)))
 
 
-def ppt_prime_lmo(G, dims, tol=1e-9):
-    """argmin Tr{G sigma} over the PPT' spectrahedron."""
-    G = np.asarray(G, dtype=complex)
-    n = G.shape[0]
+@functools.lru_cache(maxsize=None)
+def _ppt_prime_model(dims):
+    """The PPT' linear oracle's program for dims, with its constraint side
+    compiled, and the index of its variable sigma. Callers must not mutate
+    it: ppt_prime_lmo sets each objective on a shallow copy, which shares
+    the compiled constraints."""
+    n = int(np.prod(dims))
     TB = lambda X: linalg.partial_transpose(X, dims, [1])
     Tr = lambda X: np.trace(X, axis1=1, axis2=2).real[:, None, None]
     m = sdp.Model()
@@ -279,10 +285,19 @@ def ppt_prime_lmo(G, dims, tol=1e-9):
     C = m.var(n)
     D = m.var(n)
     u = m.var(1)
-    m.set_objective({S: G})
     m.add_eq([(S, lambda X: X), (C, lambda X: -TB(X)), (D, TB)],
              np.zeros((n, n), dtype=complex))
     m.add_eq([(C, Tr), (D, Tr), (u, lambda X: X)], np.ones((1, 1)))
+    m.compile()
+    return m, S
+
+
+def ppt_prime_lmo(G, dims, tol=1e-9):
+    """argmin Tr{G sigma} over the PPT' spectrahedron. The program is built
+    once per dims; each call only sets its objective."""
+    model, S = _ppt_prime_model(tuple(int(d) for d in dims))
+    m = copy.copy(model)
+    m.set_objective({S: G})
     sol = m.solve(tol=tol, label="PPT' linear oracle")
     return sol.primal_blocks[S]
 

@@ -4,19 +4,26 @@ Equality-form programs  min <C,X>  s.t.  <A_i,X> = b_i,  X >= 0 (block
 diagonal) are solved with a primal-dual Mehrotra predictor-corrector
 interior-point method. The constraints are one (m, sum_b n_b^2) matrix A:
 row i is A_i with its blocks flattened row-major and concatenated in block
-order; Model.compile writes it and the presolve reads it as it is, and
-the iterations copy each size class's columns once. Complex Hermitian
-data enters through the real symmetric embedding
+order; Model.compile writes it and the presolve reads it as it is. Complex
+Hermitian data enters through the real symmetric embedding
 H -> [[Re H, -Im H], [Im H, Re H]] of each block's column range.
+
+The constraint side is prepared once per problem: the first solve embeds
+A, presolves it and copies each size class's columns, and keeps all of it
+in a memo that later solves read; only the objective is embedded per solve.
+Model.compile builds A and b once until a variable or constraint is added,
+so the problems it compiles for different objectives share A, b and that
+memo. A problem's A and b must therefore not be mutated after construction.
 
 The iterates keep the blocks of one size as one (k, n, n) stack: each
 iteration factors every X and Z block once, by one batched Cholesky and
-inverse per stack, and Z^{-1} and both step-length searches (one batched
-eigvalsh per stack) reuse those factors. Sums across blocks are added in
-block order. A matrix is shifted only after its Cholesky fails: a stack is
-then factored block by block, an X or Z block lifted by a multiple of the
-identity, and the Schur complement M solved by least squares on
-M + 1e-10 I.
+inverse per size class on the class's X and Z stacks together, and Z^{-1}
+and the step-length search reuse those factors; one batched eigvalsh per
+size class gives the primal and the dual step together. Sums across blocks
+are added in block order. A matrix is shifted only after its Cholesky
+fails: a stack is then factored block by block, an X or Z block lifted by
+a multiple of the identity, and the Schur complement M solved by least
+squares on M + 1e-10 I.
 
 Each iteration scores its iterate by the merit max(relative gap, primal
 residual, dual residual). When the best merit has not improved for
@@ -45,7 +52,7 @@ otherwise. Callers read values, never the status.
 import functools
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, lapack
+from scipy.linalg import cho_solve, lapack
 
 DEFAULT_TOL = 1e-8
 MAX_ITER = 200
@@ -62,6 +69,11 @@ class SDPProblem:
        constraint i: its blocks flattened row-major and concatenated in
        block order.
     b: right-hand sides.
+
+    The constraint side (blocks, A, b) is prepared on the first solve and
+    the result memoized with the problem, shared by every problem
+    Model.compile returns for the same constraints; A and b must not be
+    mutated after construction.
     """
 
     def __init__(self, blocks, C, A, b):
@@ -74,6 +86,7 @@ class SDPProblem:
             raise ValueError("objective block shape mismatch")
         if self.A.shape != (len(self.b), sum(n * n for n in self.blocks)):
             raise ValueError("constraint matrix shape mismatch")
+        self._memo = {}  # embedding factor -> _prepare's result
 
     @property
     def is_complex(self):
@@ -105,30 +118,62 @@ def _size_classes(dims):
             for n, i in idx.items()]
 
 
+def _real(H, k):
+    """The real part of a stack for k = 1; for k = 2 the real embedding
+    H -> [[Re H, -Im H], [Im H, Re H]] of each of its matrices."""
+    if k == 1:
+        return H.real
+    return np.block([[H.real, -H.imag], [H.imag, H.real]])
+
+
+def _prepare(p, k):
+    """The constraint side of p for embedding factor k (2 for complex data,
+    else 1), derived once and memoized in p._memo: (A, b, keep,
+    inconsistent, layout), the real constraint matrix in the layout of p.A
+    and the right-hand sides times k, the presolve's kept rows and verdict,
+    and for a consistent program that keeps a row the (sizes, F, flat, pos,
+    eyes, normA) that solve iterates with, else None. Threads that both find
+    the memo empty derive equal values and use the one stored first."""
+    prep = p._memo.get(k)
+    if prep is not None:
+        return prep
+    m = len(p.A)
+    blocks = [k * n for n in p.blocks]
+    A = np.empty((m, k * k * p.A.shape[1]))
+    for (n, i, cols), (_, _, out) in zip(_size_classes(p.blocks),
+                                         _size_classes(blocks)):
+        A[:, out] = _real(p.A[:, cols].reshape(m, len(i), n, n),
+                          k).reshape(m, -1)
+    b = k * p.b
+    keep, inconsistent = _presolve(A, b)
+    layout = None
+    if not inconsistent and len(keep):
+        m = len(keep)
+        # block b is entry j of size class c's (k, n, n) stack, (c, j) = pos[b]
+        classes = _size_classes(blocks)
+        F = [A[np.ix_(keep, cols)] for _, _, cols in classes]  # class columns
+        sizes = [n for n, _, _ in classes]
+        pos = [(sizes.index(n), blocks[:i].count(n))
+               for i, n in enumerate(blocks)]
+        flat = [F[c].reshape(m, -1, n * n)[:, j]
+                for (c, j), n in zip(pos, blocks)]
+        eyes = [np.broadcast_to(np.eye(n), (len(i), n, n))
+                for n, i, _ in classes]
+        normA = max(1.0, max(np.linalg.norm(Fb, axis=1).max() for Fb in flat))
+        layout = (sizes, F, flat, pos, eyes, normA)
+    return p._memo.setdefault(k, (A, b, keep, inconsistent, layout))
+
+
 def _stack(p):
     """Real program data: objective blocks stacked per size class (sizes in
-    order of first appearance), the real constraint matrix in the layout of
-    p.A and right-hand sides.
-
-    Complex Hermitian data is embedded as H -> [[Re H, -Im H], [Im H, Re H]]
-    per size class, on its (m, k, n, n) stack; the objective is halved and
-    the right-hand sides doubled, so the real program's optimum is the same.
-    """
-    m = len(p.A)
-    cplx = p.is_complex
-    k = 2 if cplx else 1
-
-    def real(H):
-        if not cplx:
-            return H.real
-        return np.block([[H.real, -H.imag], [H.imag, H.real]])
-
-    A, C = np.empty((m, k * k * p.A.shape[1])), []
-    for (n, i, cols), (_, _, out) in zip(
-            _size_classes(p.blocks), _size_classes([k * n for n in p.blocks])):
-        A[:, out] = real(p.A[:, cols].reshape(m, len(i), n, n)).reshape(m, -1)
-        C.append(real(np.stack([p.C[bi] for bi in i])) / k)
-    return C, A, k * p.b
+    order of first appearance), and from _prepare the real constraint
+    matrix and right-hand sides. Complex Hermitian data is embedded as
+    H -> [[Re H, -Im H], [Im H, Re H]]; the objective is halved and the
+    right-hand sides doubled, so the real program's optimum is the same."""
+    k = 2 if p.is_complex else 1
+    C = [_real(np.stack([p.C[bi] for bi in i]), k) / k
+         for _, i, _ in _size_classes(p.blocks)]
+    return (C,) + _prepare(p, k)[:2]
 
 
 def _presolve(A, b):
@@ -176,29 +221,22 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     k = 2 if cplx else 1
     if sum(p.blocks) * k > 512:
         raise ValueError("total block dimension too large")
-    C, A, b = _stack(p)
-    blocks = [k * n for n in p.blocks]
-    keep, inconsistent = _presolve(A, b)
+    C = _stack(p)[0]
+    _, b, keep, inconsistent, layout = _prepare(p, k)
     y_all = np.zeros(len(p.A))
     if inconsistent:
         return SDPSolution(np.inf, -np.inf, None, y_all, np.inf, "infeasible")
     b = b[keep]
+    blocks = [k * n for n in p.blocks]
     m, ntot = len(b), sum(blocks)
     if m == 0:
         # unconstrained: X = 0 is optimal for C >= 0, else unbounded; our
         # programs never hit this, return the trivial point
         return SDPSolution(0.0, 0.0, [np.zeros((n, n)) for n in p.blocks],
                            y_all, 0.0, "optimal")
-    # block b is entry j of size class c's (k, n, n) stack, (c, j) = pos[b]
-    classes = _size_classes(blocks)
-    F = [A[np.ix_(keep, cols)] for _, _, cols in classes]  # class columns
-    sizes = [n for n, _, _ in classes]
-    pos = [(sizes.index(n), blocks[:i].count(n)) for i, n in enumerate(blocks)]
-    flat = [F[c].reshape(m, -1, n * n)[:, j] for (c, j), n in zip(pos, blocks)]
-    eyes = [np.broadcast_to(np.eye(n), (len(i), n, n)) for n, i, _ in classes]
+    sizes, F, flat, pos, eyes, normA = layout
 
     normC = max(1.0, max(np.linalg.norm(Cb) for Cc in C for Cb in Cc))
-    normA = max(1.0, max(np.linalg.norm(Fb, axis=1).max() for Fb in flat))
     normb = max(1.0, np.abs(b).max())
     scale = max(10.0, np.sqrt(ntot), ntot * normb / normA)
     X = [scale * I for I in eyes]
@@ -229,14 +267,15 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
             L = np.linalg.cholesky(V + lift * np.eye(len(V)))
         return np.linalg.inv(L)
 
-    def max_step(Li, dV):
-        # largest a with V + a dV >= 0, from the inverse factors Li of V
-        amax = np.inf
-        for L, dVc in zip(Li, dV):
-            w = np.linalg.eigvalsh(L @ dVc @ L.transpose(0, 2, 1))[:, 0].min()
-            if w < 0:
-                amax = min(amax, -1.0 / w)
-        return amax
+    def max_steps(L, dX, dZ):
+        # the largest a_p and a_d with X + a_p dX >= 0 and Z + a_d dZ >= 0,
+        # from the inverse factors L of each size class's X and Z together
+        wp = wd = 0.0
+        for Lc, dXc, dZc in zip(L, dX, dZ):
+            w = np.linalg.eigvalsh(Lc @ np.concatenate([dXc, dZc])
+                                   @ Lc.transpose(0, 2, 1))[:, 0]
+            wp, wd = min(wp, w[:len(dXc)].min()), min(wd, w[len(dXc):].min())
+        return tuple(-1.0 / w if w < 0 else np.inf for w in (wp, wd))
 
     status = "numerical_limit"
     best = (np.inf, 0, X, y)
@@ -264,9 +303,10 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         if it - best[1] >= STALL_WINDOW:
             break
 
-        LX = [inv_factor(Xb) for Xb in X]
-        LZ = [inv_factor(Zb) for Zb in Z]
-        Zi = [Li.transpose(0, 2, 1) @ Li for Li in LZ]
+        # per size class, the inverse factors of its X stack, then its Z stack
+        L = [inv_factor(np.concatenate([Xc, Zc])) for Xc, Zc in zip(X, Z)]
+        Zi = [Li.transpose(0, 2, 1) @ Li
+              for Li in (Lc[len(Xc):] for Lc, Xc in zip(L, X))]
 
         # Schur complement M_ij = Tr(A_i X A_j Z^{-1}), added in block order
         M = np.zeros((m, m))
@@ -274,10 +314,12 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
             Vb = Zi[c][j][None] @ Fb.reshape(m, n, n) @ X[c][j][None]
             M += np.transpose(Vb, (0, 2, 1)).reshape(m, -1) @ Fb.T
         M = (M + M.T) / 2
-        try:
-            factor = cho_factor(M, check_finite=False)
-            solve_M = lambda rhs: cho_solve(factor, rhs, check_finite=False)
-        except np.linalg.LinAlgError:
+        factor, info = lapack.dpotrf(M)
+        if info < 0:
+            raise ValueError("dpotrf: illegal argument %d" % -info)
+        if info == 0:
+            solve_M = lambda rhs: lapack.dpotrs(factor, rhs)[0]
+        else:
             # minimum-norm least squares on M + 1e-10 I from one SVD, with
             # lstsq's default cutoff: singular values <= m eps s_max dropped
             U, s, Vt = np.linalg.svd(M + 1e-10 * np.eye(m))
@@ -298,8 +340,7 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         # predictor: Rc = -X Z
         Rc0 = [-Xb @ Zb for Xb, Zb in zip(X, Z)]
         dXa, dya, dZa = direction(Rc0)
-        ap = min(1.0, max_step(LX, dXa))
-        ad = min(1.0, max_step(LZ, dZa))
+        ap, ad = (min(1.0, a) for a in max_steps(L, dXa, dZa))
         mu_aff = inner([Xb + ap * d for Xb, d in zip(X, dXa)],
                        [Zb + ad * d for Zb, d in zip(Z, dZa)]) / ntot
         sigma = min(1.0, max(0.0, (mu_aff / mu)) ** 3)
@@ -307,8 +348,7 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         # corrector: Rc = sigma mu I - X Z - dXa dZa
         dX, dy, dZ = direction([R + sigma * mu * I - da @ dz
                                 for R, I, da, dz in zip(Rc0, eyes, dXa, dZa)])
-        ap = min(1.0, BOUNDARY_FRAC * max_step(LX, dX))
-        ad = min(1.0, BOUNDARY_FRAC * max_step(LZ, dZ))
+        ap, ad = (min(1.0, BOUNDARY_FRAC * a) for a in max_steps(L, dX, dZ))
         if ap < 1e-10 and ad < 1e-10:
             break
         X = [Xb + ap * d for Xb, d in zip(X, dX)]
@@ -378,6 +418,9 @@ class Model:
     invariant and commutes with every map (Gatermann-Parrilo, J. Pure
     Appl. Algebra 192 (2004)). solve() returns primal_blocks indexed by
     variable, each lifted back to full size.
+    compile builds the constraint side once, until var, add_eq or add_psd
+    is called; set_objective alone only changes the objective, so solves
+    for many objectives share one prepared constraint side.
     """
 
     def __init__(self):
@@ -385,10 +428,12 @@ class Model:
         self._sizes = []   # block dimensions, variables in order
         self._obj = {}     # block index -> objective block
         self._eqs = []     # (terms, G, iso); a map of None marks the slack
+        self._compiled = None  # (A, b, memo) of the constraints, once built
 
     def var(self, dim, iso=None):
         """Declare a variable of dimension dim; return its index."""
         iso = [None] if iso is None else [np.asarray(Q) for Q in iso]
+        self._compiled = None
         self._vars.append((iso, len(self._sizes)))
         self._sizes += [int(dim) if Q is None else Q.shape[1] for Q in iso]
         return len(self._vars) - 1
@@ -405,19 +450,31 @@ class Model:
     def add_eq(self, terms, G):
         """Constrain sum_v map_v(X_v) = G (operator equality)."""
         G = np.asarray(G, dtype=complex)
+        self._compiled = None
         self._eqs.append((list(terms), G, [None]))
 
     def add_psd(self, terms, G, iso=None):
         """Constrain Q_j^dag (sum_v map_v(X_v) - G) Q_j >= 0 for each Q_j
         in iso (Q = 1 without iso), via one PSD slack block per Q_j."""
         G = np.asarray(G, dtype=complex)
-        s = self.var(G.shape[0], iso=iso)
+        s = self.var(G.shape[0], iso=iso)  # which drops the compiled side
         self._eqs.append((list(terms) + [(s, None)], G, self._vars[s][0]))
         return s
 
     def compile(self):
+        """The SDPProblem of the model; its A, b and memo are those of the
+        last compile when no variable or constraint was added since."""
         C = [self._obj.get(bi, np.zeros((n, n), dtype=complex))
              for bi, n in enumerate(self._sizes)]
+        if self._compiled is None:
+            self._compiled = self._constraints() + ({},)
+        A, b, memo = self._compiled
+        p = SDPProblem(self._sizes, C, A, b)
+        p._memo = memo
+        return p
+
+    def _constraints(self):
+        """(A, b) of the constraints, in SDPProblem's layout."""
         # each equation has one row per basis element of each output block
         outs = [[G.shape[0] if Q is None else Q.shape[1] for Q in out]
                 for _, G, out in self._eqs]
@@ -451,7 +508,7 @@ class Model:
                     cols[bi][r0:r1] += F @ B.reshape(n * n, -1)
             b[r0:r1] = (out_flat @ G.ravel()).real
             r0 = r1
-        return SDPProblem(self._sizes, C, A, b)
+        return A, b
 
     def solve(self, tol=DEFAULT_TOL, max_iter=MAX_ITER, label="model"):
         """Compile and solve; return the solution if it counts (see the

@@ -1,8 +1,11 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from qbound import infomeasures as im
-from qbound import linalg, qcore, rains
+from qbound import linalg, qcore, rains, sdp
 
 from conftest import haar_unitary, random_channel
 
@@ -247,6 +250,71 @@ def test_ppt_prime_lmo_and_membership(rng):
     assert rains.ppt_prime_member(sigma, (2, 2), slack=1e-6)
     # the max-ent state itself is not PPT'
     assert not rains.ppt_prime_member(phi, (2, 2), slack=1e-6)
+
+
+def _lmo_uncached(G, dims, tol=1e-9):
+    """The PPT' linear oracle from a fresh sdp.Model per call."""
+    G = np.asarray(G, dtype=complex)
+    n = G.shape[0]
+    TB = lambda X: linalg.partial_transpose(X, dims, [1])
+    Tr = lambda X: np.trace(X, axis1=1, axis2=2).real[:, None, None]
+    m = sdp.Model()
+    S = m.var(n)
+    C = m.var(n)
+    D = m.var(n)
+    u = m.var(1)
+    m.set_objective({S: G})
+    m.add_eq([(S, lambda X: X), (C, lambda X: -TB(X)), (D, TB)],
+             np.zeros((n, n), dtype=complex))
+    m.add_eq([(C, Tr), (D, Tr), (u, lambda X: X)], np.ones((1, 1)))
+    sol = m.solve(tol=tol, label="PPT' linear oracle")
+    return sol.primal_blocks[S]
+
+
+def _hermitian(n, rng):
+    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return (A + A.conj().T) / 2
+
+
+def test_ppt_prime_lmo_compiles_once_per_dims(monkeypatch, rng):
+    # only the first call for a dims evaluates the maps; a shared constraint
+    # side must leave every output bit for bit that of a fresh model
+    rains._ppt_prime_model.cache_clear()
+    calls = []
+    transpose = linalg.partial_transpose
+
+    def counted(*args):
+        calls.append(args)
+        return transpose(*args)
+    monkeypatch.setattr(linalg, "partial_transpose", counted)
+    G1, G2 = _hermitian(4, rng), _hermitian(4, rng)
+    out, counts = [], []
+    for G in (G1, G2, G1):
+        out.append(rains.ppt_prime_lmo(G, (2, 2)))
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[2] == counts[1] == counts[0]
+    assert np.array_equal(out[0], out[2])
+    # each call sets its objective on a copy, never on the cached model
+    assert rains._ppt_prime_model((2, 2))[0]._obj == {}
+    monkeypatch.undo()
+    for G, sigma in zip((G1, G2, G1), out):
+        assert np.array_equal(sigma, _lmo_uncached(G, (2, 2)))
+
+
+def test_ppt_prime_lmo_thread_safe():
+    # worker threads share the cached program, from a cold cache on
+    Gs = [_hermitian(4, np.random.default_rng(seed)) for seed in range(8)]
+    rains._ppt_prime_model.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(
+                lambda G: rains.ppt_prime_lmo(G, (2, 2)), Gs, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    serial = [rains.ppt_prime_lmo(G, (2, 2)) for G in Gs]
+    assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))
 
 
 def test_rains_relative_entropy_values(rng):

@@ -199,14 +199,18 @@ def test_dual_multipliers_complex_and_presolved(rng):
 def test_solve_factors_each_block_once_per_iteration(monkeypatch):
     # every iteration but the last, which stops at the convergence test,
     # factors each X and each Z block once, with one batched call per size
-    # class; Z^{-1} and both step-length searches reuse those factors, and a
-    # lifted block would add calls
-    calls = []
-    cholesky = np.linalg.cholesky
+    # class on its X and Z stacks together; Z^{-1} and the step-length
+    # searches reuse those factors, one eigvalsh call per size class searching
+    # the primal and dual steps together, and a lifted block would add calls
+    calls = {"cholesky": [], "eigvalsh": []}
 
-    def counted(a):
-        calls.append(a.shape)
-        return cholesky(a)
+    def counting(name):
+        fn = getattr(np.linalg, name)
+
+        def counted(a):
+            calls[name].append(a.shape)
+            return fn(a)
+        return counted
     TB = lambda X: linalg.partial_transpose(X, (2, 2), [1])
     m = sdp.Model()
     C, D, t = m.var(4), m.var(4), m.var(1)
@@ -214,15 +218,57 @@ def test_solve_factors_each_block_once_per_iteration(monkeypatch):
                      t: np.ones((1, 1), dtype=complex)})
     m.add_psd([(C, TB), (D, lambda X: -TB(X))], qcore.max_ent_state(2))
     p = m.compile()
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
     sol = sdp.solve(p)
     assert sol.status == "optimal" and p.blocks == [4, 4, 1, 4]
     assert sol.primal_value == pytest.approx(2.0, abs=1e-7)
-    factoring = sol.iterations - 1
+    factoring, classes = sol.iterations - 1, len(set(p.blocks))
     # matrices factored: the leading stack sizes of all calls
-    assert sum(int(np.prod(s[:-2])) for s in calls) == \
+    assert sum(int(np.prod(s[:-2])) for s in calls["cholesky"]) == \
         2 * len(p.blocks) * factoring
-    assert len(calls) == 2 * len(set(p.blocks)) * factoring
+    assert len(calls["cholesky"]) == classes * factoring
+    # predictor and corrector
+    assert len(calls["eigvalsh"]) == 2 * classes * factoring
+
+
+def test_model_compiles_constraints_once():
+    """set_objective alone keeps the compiled constraint side, shared with
+    the solver's memo; adding a variable or constraint rebuilds it, and a
+    problem built by hand starts from an empty memo."""
+    TB = lambda X: linalg.partial_transpose(X, (2, 2), [1])
+    m = sdp.Model()
+    S = m.var(4)
+    m.add_eq([(S, lambda X: np.trace(X, axis1=1, axis2=2)[:, None, None])],
+             np.ones((1, 1)))
+    m.add_psd([(S, TB)], np.zeros((4, 4)))
+    m.set_objective({S: np.diag([1.0, 2.0, 3.0, 4.0])})
+    p1 = m.compile()
+    sol1 = sdp.solve(p1)
+    m.set_objective({S: -qcore.max_ent_state(2)})
+    p2 = m.compile()
+    assert p2.A is p1.A and p2.b is p1.b and p2._memo is p1._memo
+    assert not np.array_equal(p2.C[0], p1.C[0])
+    sol2 = sdp.solve(p2)
+    assert sol1.primal_value == pytest.approx(1.0, abs=1e-7)
+    assert sol2.primal_value == pytest.approx(-0.5, abs=1e-7)
+    q = sdp.SDPProblem(p2.blocks, p2.C, p2.A, p2.b)
+    assert q._memo == {}
+    sol = sdp.solve(q)
+    assert q._memo is not p2._memo and set(q._memo) == set(p2._memo)
+    assert (sol.primal_value, sol.iterations) == \
+        (sol2.primal_value, sol2.iterations)
+    assert np.array_equal(sol.dual_multipliers, sol2.dual_multipliers)
+    m.add_eq([(S, lambda X: X[:, :1, :1])], np.full((1, 1), 0.5))
+    p3 = m.compile()
+    assert len(p3.A) == len(p2.A) + 1 and p3.A.shape[1] == p2.A.shape[1]
+    m.add_psd([(S, lambda X: X[:, :1, :1])], np.full((1, 1), 0.25))
+    p4 = m.compile()
+    assert len(p4.A) == len(p3.A) + 1 and p4.A.shape[1] == p3.A.shape[1] + 1
+    m.var(2)
+    p5 = m.compile()
+    assert len(p5.A) == len(p4.A) and p5.A.shape[1] == p4.A.shape[1] + 4
+    assert p5.A is not p4.A and p5._memo == {}
 
 
 @pytest.mark.parametrize("cplx", [False, True])
