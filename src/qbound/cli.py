@@ -210,6 +210,8 @@ def cmd_secure_read(args):
 
 
 def cmd_dynamics(args):
+    if args.steps < 0:
+        raise ValueError("--steps must be >= 0")
     ts = list(np.linspace(0.0, args.t_max, args.steps + 1))
     if args.preset == "gadc":
         fam = dynamics.gadc_family(args.omega)

@@ -275,6 +275,8 @@ def identity_channel(d):
 
 def depolarizing(d, q):
     """rho -> (1-q) rho + q pi, via Heisenberg-Weyl Kraus operators."""
+    if d < 2:
+        raise ValueError("depolarizing needs d >= 2")
     if not 0 <= q <= d * d / (d * d - 1.0):
         raise ValueError("q out of range")
     kraus = []

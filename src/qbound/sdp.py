@@ -4,16 +4,16 @@ Equality-form programs  min <C,X>  s.t.  <A_i,X> = b_i,  X >= 0 (block
 diagonal) are solved with a primal-dual Mehrotra predictor-corrector
 interior-point method. The constraints are one (m, sum_b n_b^2) matrix A:
 row i is A_i with its blocks flattened row-major and concatenated in block
-order; Model.compile writes it and the presolve reads it as it is. Complex
-Hermitian data enters through the real symmetric embedding
-H -> [[Re H, -Im H], [Im H, Re H]] of each block's column range.
+order; Model.compile writes it and the presolve reads it as it is. The
+solver takes real data only: Model.compile writes Hermitian data in the
+real symmetric embedding H -> [[Re H, -Im H], [Im H, Re H]] of each block.
 
-The constraint side is prepared once per problem: the first solve embeds
-A, presolves it and copies each size class's columns, and keeps all of it
-in a memo that later solves read; only the objective is embedded per solve.
-Model.compile builds A and b once until a variable or constraint is added,
-so the problems it compiles for different objectives share A, b and that
-memo. A problem's A and b must therefore not be mutated after construction.
+The constraint side is prepared once per problem: the first solve
+presolves A and copies each size class's columns, and keeps both in a memo
+that later solves read. Model.compile builds A and b once until a variable
+or constraint is added, so the problems it compiles for different
+objectives share A, b and that memo. A problem's A and b must therefore
+not be mutated after construction.
 
 The iterates keep the blocks of one size as one (k, n, n) stack: each
 iteration factors every X and Z block once, by one batched Cholesky and
@@ -39,8 +39,9 @@ acts on a stack: given a (k, n, n) stack of inputs it returns the
 block), on that block's Hermitian basis lifted to full size. A variable is
 one PSD block, or, declared with isometries iso = [Q_k], the sum
 sum_k Q_k V_k Q_k^dag of one PSD block per Q_k; an inequality given iso
-is imposed on each block Q_j^dag (.) Q_j. Model.solve returns
-primal_blocks indexed by variable, lifted back to full size.
+is imposed on each block Q_j^dag (.) Q_j. compile writes each block of
+dimension n as a real block of dimension 2n; Model.solve folds each back
+and returns primal_blocks indexed by variable, lifted to full size.
 
 Acceptance contract: solve() is the raw solver; it reports its status
 and raises nothing for a failed solve. Model.solve() is the one place
@@ -64,11 +65,11 @@ class SDPProblem:
     """Block-diagonal equality-form SDP (minimize).
 
     blocks: list of block dimensions n_b.
-    C: list of per-block objective matrices.
-    A: (m, sum_b n_b^2) constraint matrix, real or complex. Row i is
-       constraint i: its blocks flattened row-major and concatenated in
-       block order.
+    C: list of per-block real symmetric objective matrices.
+    A: (m, sum_b n_b^2) real constraint matrix. Row i is constraint i: its
+       blocks flattened row-major and concatenated in block order.
     b: right-hand sides.
+    Complex A or C raises ValueError; Model.compile embeds Hermitian data.
 
     The constraint side (blocks, A, b) is prepared on the first solve and
     the result memoized with the problem, shared by every problem
@@ -80,18 +81,16 @@ class SDPProblem:
         self.blocks = [int(n) for n in blocks]
         self.C = [np.asarray(Cb) for Cb in C]
         self.A = np.asarray(A)
+        if np.iscomplexobj(self.A) or any(map(np.iscomplexobj, self.C)):
+            raise ValueError("SDPProblem takes real data")
+        self.A = self.A.astype(float, copy=False)
         self.b = np.asarray(b, dtype=float)
         if len(self.C) != len(self.blocks) or any(
                 Cb.shape != (n, n) for Cb, n in zip(self.C, self.blocks)):
             raise ValueError("objective block shape mismatch")
         if self.A.shape != (len(self.b), sum(n * n for n in self.blocks)):
             raise ValueError("constraint matrix shape mismatch")
-        self._memo = {}  # embedding factor -> _prepare's result
-
-    @property
-    def is_complex(self):
-        return (np.iscomplexobj(self.A)
-                or any(np.iscomplexobj(Cb) for Cb in self.C))
+        self._memo = {}  # "prepared" -> _prepare's result
 
 
 class SDPSolution:
@@ -118,40 +117,22 @@ def _size_classes(dims):
             for n, i in idx.items()]
 
 
-def _real(H, k):
-    """The real part of a stack for k = 1; for k = 2 the real embedding
-    H -> [[Re H, -Im H], [Im H, Re H]] of each of its matrices."""
-    if k == 1:
-        return H.real
-    return np.block([[H.real, -H.imag], [H.imag, H.real]])
-
-
-def _prepare(p, k):
-    """The constraint side of p for embedding factor k (2 for complex data,
-    else 1), derived once and memoized in p._memo: (A, b, keep,
-    inconsistent, layout), the real constraint matrix in the layout of p.A
-    and the right-hand sides times k, the presolve's kept rows and verdict,
-    and for a consistent program that keeps a row the (sizes, F, flat, pos,
+def _prepare(p):
+    """The constraint side of p, derived once and memoized in p._memo:
+    (keep, inconsistent, layout), the presolve's kept rows and verdict, and
+    for a consistent program that keeps a row the (sizes, F, flat, pos,
     eyes, normA) that solve iterates with, else None. Threads that both find
     the memo empty derive equal values and use the one stored first."""
-    prep = p._memo.get(k)
+    prep = p._memo.get("prepared")
     if prep is not None:
         return prep
-    m = len(p.A)
-    blocks = [k * n for n in p.blocks]
-    A = np.empty((m, k * k * p.A.shape[1]))
-    for (n, i, cols), (_, _, out) in zip(_size_classes(p.blocks),
-                                         _size_classes(blocks)):
-        A[:, out] = _real(p.A[:, cols].reshape(m, len(i), n, n),
-                          k).reshape(m, -1)
-    b = k * p.b
-    keep, inconsistent = _presolve(A, b)
+    keep, inconsistent = _presolve(p.A, p.b)
     layout = None
     if not inconsistent and len(keep):
-        m = len(keep)
+        m, blocks = len(keep), p.blocks
         # block b is entry j of size class c's (k, n, n) stack, (c, j) = pos[b]
         classes = _size_classes(blocks)
-        F = [A[np.ix_(keep, cols)] for _, _, cols in classes]  # class columns
+        F = [p.A[np.ix_(keep, cols)] for _, _, cols in classes]  # by class
         sizes = [n for n, _, _ in classes]
         pos = [(sizes.index(n), blocks[:i].count(n))
                for i, n in enumerate(blocks)]
@@ -161,19 +142,7 @@ def _prepare(p, k):
                 for n, i, _ in classes]
         normA = max(1.0, max(np.linalg.norm(Fb, axis=1).max() for Fb in flat))
         layout = (sizes, F, flat, pos, eyes, normA)
-    return p._memo.setdefault(k, (A, b, keep, inconsistent, layout))
-
-
-def _stack(p):
-    """Real program data: objective blocks stacked per size class (sizes in
-    order of first appearance), and from _prepare the real constraint
-    matrix and right-hand sides. Complex Hermitian data is embedded as
-    H -> [[Re H, -Im H], [Im H, Re H]]; the objective is halved and the
-    right-hand sides doubled, so the real program's optimum is the same."""
-    k = 2 if p.is_complex else 1
-    C = [_real(np.stack([p.C[bi] for bi in i]), k) / k
-         for _, i, _ in _size_classes(p.blocks)]
-    return (C,) + _prepare(p, k)[:2]
+    return p._memo.setdefault("prepared", (keep, inconsistent, layout))
 
 
 def _presolve(A, b):
@@ -207,7 +176,7 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     """
     Solve a block-diagonal SDP to the requested tolerance.
 
-    :param p: SDPProblem; complex Hermitian data is embedded automatically.
+    :param p: SDPProblem (real data).
     :param tol: duality-gap / residual tolerance in [1e-12, 1e-4].
     :return: SDPSolution with status optimal | infeasible | numerical_limit.
         A numerical_limit solution is the best iterate met (see the
@@ -217,24 +186,22 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     """
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol out of range")
-    cplx = p.is_complex
-    k = 2 if cplx else 1
-    if sum(p.blocks) * k > 512:
+    blocks = p.blocks
+    if sum(blocks) > 512:
         raise ValueError("total block dimension too large")
-    C = _stack(p)[0]
-    _, b, keep, inconsistent, layout = _prepare(p, k)
+    keep, inconsistent, layout = _prepare(p)
     y_all = np.zeros(len(p.A))
     if inconsistent:
         return SDPSolution(np.inf, -np.inf, None, y_all, np.inf, "infeasible")
-    b = b[keep]
-    blocks = [k * n for n in p.blocks]
+    b = p.b[keep]
     m, ntot = len(b), sum(blocks)
     if m == 0:
         # unconstrained: X = 0 is optimal for C >= 0, else unbounded; our
         # programs never hit this, return the trivial point
-        return SDPSolution(0.0, 0.0, [np.zeros((n, n)) for n in p.blocks],
+        return SDPSolution(0.0, 0.0, [np.zeros((n, n)) for n in blocks],
                            y_all, 0.0, "optimal")
     sizes, F, flat, pos, eyes, normA = layout
+    C = [np.stack([p.C[bi] for bi in i]) for _, i, _ in _size_classes(blocks)]
 
     normC = max(1.0, max(np.linalg.norm(Cb) for Cc in C for Cb in Cc))
     normb = max(1.0, np.abs(b).max())
@@ -360,11 +327,7 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     pobj = inner(C, X)
     dobj = float(b @ y)
     X = [X[c][j] for c, j in pos]
-    if cplx:
-        X = [(Xr[:n, :n] + Xr[n:, n:]) / 2 + 1j * (Xr[n:, :n] - Xr[:n, n:]) / 2
-             for Xr, n in zip(X, p.blocks)]
-    # the embedded program's multipliers are 1/k of the complex program's
-    y_all[keep] = k * y
+    y_all[keep] = y
     return SDPSolution(pobj, dobj, X, y_all, abs(pobj - dobj), status, it)
 
 
@@ -394,6 +357,22 @@ def hermitian_basis(n):
     return basis
 
 
+def _embed(H):
+    """The real embedding H -> [[Re H, -Im H], [Im H, Re H]] of each matrix
+    of a stack."""
+    return np.concatenate([np.concatenate([H.real, -H.imag], -1),
+                           np.concatenate([H.imag, H.real], -1)], -2)
+
+
+@functools.lru_cache(maxsize=None)
+def _embedded_basis(n):
+    """hermitian_basis(n) in the real embedding, flattened: a read-only
+    (n^2, 4 n^2) array shared by every caller."""
+    basis = _embed(hermitian_basis(n)).reshape(n * n, -1)
+    basis.flags.writeable = False
+    return basis
+
+
 def _lift(Q, B):
     """Q B Q^dag for an isometry Q (B itself for Q = None); B may be a
     stack of matrices."""
@@ -416,8 +395,12 @@ class Model:
     different Q_j are not constrained. The reduction is exact when a group
     whose isotypic subspaces are the ranges of the Q_k leaves the data
     invariant and commutes with every map (Gatermann-Parrilo, J. Pure
-    Appl. Algebra 192 (2004)). solve() returns primal_blocks indexed by
-    variable, each lifted back to full size.
+    Appl. Algebra 192 (2004)). compile writes the real program: each
+    block of dimension n becomes its real embedding of dimension 2n, the
+    objective embed(C)/2 and the right-hand sides doubled, so the real
+    program's optimum is the same; its dual_multipliers are the real
+    program's. solve() folds each block back to n x n and returns
+    primal_blocks indexed by variable, each lifted back to full size.
     compile builds the constraint side once, until var, add_eq or add_psd
     is called; set_objective alone only changes the objective, so solves
     for many objectives share one prepared constraint side.
@@ -462,26 +445,29 @@ class Model:
         return s
 
     def compile(self):
-        """The SDPProblem of the model; its A, b and memo are those of the
+        """The real SDPProblem of the model, blocks of dimension 2n for the
+        variables' blocks of dimension n; its A, b and memo are those of the
         last compile when no variable or constraint was added since."""
-        C = [self._obj.get(bi, np.zeros((n, n), dtype=complex))
-             for bi, n in enumerate(self._sizes)]
+        C = [_embed(self._obj[bi]) / 2 if bi in self._obj
+             else np.zeros((2 * n, 2 * n)) for bi, n in enumerate(self._sizes)]
         if self._compiled is None:
             self._compiled = self._constraints() + ({},)
         A, b, memo = self._compiled
-        p = SDPProblem(self._sizes, C, A, b)
+        p = SDPProblem([2 * n for n in self._sizes], C, A, b)
         p._memo = memo
         return p
 
     def _constraints(self):
-        """(A, b) of the constraints, in SDPProblem's layout."""
+        """(A, b) of the constraints, in SDPProblem's layout, each block's
+        columns in the real embedding."""
         # each equation has one row per basis element of each output block
         outs = [[G.shape[0] if Q is None else Q.shape[1] for Q in out]
                 for _, G, out in self._eqs]
         m = sum(d * d for dims in outs for d in dims)
-        A = np.zeros((m, sum(n * n for n in self._sizes)), dtype=complex)
+        widths = [4 * n * n for n in self._sizes]
+        A = np.zeros((m, sum(widths)))
         # each block's column range, as views: writes land in A
-        cols = np.split(A, np.cumsum([n * n for n in self._sizes])[:-1], 1)
+        cols = np.split(A, np.cumsum(widths)[:-1], 1)
         b = np.zeros(m)
         r0 = 0
         for (terms, G, out), dims in zip(self._eqs, outs):
@@ -495,29 +481,30 @@ class Model:
                 if fn is None:  # the slack: block j is -(basis of output block j)
                     r = r0
                     for bi, d in enumerate(dims, start=first):
-                        B = hermitian_basis(d).reshape(d * d, -1)
-                        cols[bi][r:r + d * d] = -B
+                        cols[bi][r:r + d * d] = -_embedded_basis(d)
                         r += d * d
                     continue
                 for bi, Q in enumerate(iso, start=first):
                     n = self._sizes[bi]
-                    B = hermitian_basis(n)
                     # F[l, i] = <out_l, fn(in_i)>, one map call per stack
-                    imgs = fn(_lift(Q, B))
+                    imgs = fn(_lift(Q, hermitian_basis(n)))
                     F = (out_flat @ imgs.reshape(n * n, -1).T).real
-                    cols[bi][r0:r1] += F @ B.reshape(n * n, -1)
-            b[r0:r1] = (out_flat @ G.ravel()).real
+                    cols[bi][r0:r1] += F @ _embedded_basis(n)
+            b[r0:r1] = 2 * (out_flat @ G.ravel()).real
             r0 = r1
         return A, b
 
     def solve(self, tol=DEFAULT_TOL, max_iter=MAX_ITER, label="model"):
         """Compile and solve; return the solution if it counts (see the
         module docstring), else raise ArithmeticError naming label. Its
-        primal_blocks hold one full-size matrix per variable."""
+        primal_blocks hold one full-size matrix per variable, each real
+        block folded back to its n x n Hermitian block first."""
         sol = solve(self.compile(), tol=tol, max_iter=max_iter)
         if sol.status == "optimal" or (sol.status == "numerical_limit"
                                        and sol.gap <= max(100 * tol, 1e-7)):
-            blocks = sol.primal_blocks
+            blocks = [(X[:n, :n] + X[n:, n:]) / 2
+                      + 1j * (X[n:, :n] - X[:n, n:]) / 2
+                      for X, n in zip(sol.primal_blocks, self._sizes)]
             sol.primal_blocks = [sum(_lift(Q, blocks[first + k])
                                      for k, Q in enumerate(iso))
                                  for iso, first in self._vars]

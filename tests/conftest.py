@@ -1,5 +1,11 @@
-import numpy as np
-import pytest
+import os
+
+# One BLAS thread unless the caller sets a count: the suite's SDPs are too
+# small to gain from threads, and OpenBLAS must read this before it loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 
 @pytest.fixture

@@ -106,6 +106,25 @@ def test_parse_error_exit_code(capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("d", ["0", "1"])
+@pytest.mark.parametrize("cmd", [["rains-channel", "--channel", "depolarizing"],
+                                 ["capacity", "--cell", "depolarizing"],
+                                 ["nonunitarity", "--channel", "depolarizing"]],
+                         ids=["rains-channel", "capacity", "nonunitarity"])
+def test_depolarizing_trivial_dimension_exit_code(capsys, cmd, d):
+    with pytest.raises(SystemExit) as e:
+        cli.main(cmd + ["--d", d])
+    assert e.value.code == 2
+    assert "d >= 2" in capsys.readouterr().err
+
+
+def test_dynamics_negative_steps_exit_code(capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["dynamics", "--steps", "-1"])
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_numerical_failure_exit_code(monkeypatch, capsys):
     def boom(*a, **k):
         raise ArithmeticError("synthetic divergence")

@@ -38,6 +38,12 @@ def test_depolarizing_action(rng):
     assert np.abs(ch.apply(rho) - expect).max() < 1e-12
 
 
+@pytest.mark.parametrize("d", [0, 1])
+def test_depolarizing_rejects_trivial_dimension(d):
+    with pytest.raises(ValueError, match="d >= 2"):
+        qcore.depolarizing(d, 0.0)
+
+
 def test_erasure_channel():
     d, q = 2, 0.3
     ch = qcore.erasure(d, q)

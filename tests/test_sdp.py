@@ -108,8 +108,7 @@ def test_presolve_blocked_rank_reveal(rng):
 
     b = np.einsum("kij,ji->k", rows, X0)
     full = problem(rows[order], b[order])
-    _, stacks, rhs = sdp._stack(full)
-    keep, inconsistent = sdp._presolve(stacks, rhs)
+    keep, inconsistent = sdp._presolve(full.A, full.b)
     assert len(keep) == 80 and not inconsistent
     sol, ref = sdp.solve(full), sdp.solve(problem(rows[:80], b[:80]))
     assert sol.status == ref.status == "optimal"
@@ -153,6 +152,15 @@ def test_problem_shape_mismatch_raises(C, A, b):
         sdp.SDPProblem([1, 2], C, A, b)
 
 
+@pytest.mark.parametrize("C, A", [
+    ([np.eye(2)], [np.eye(2).ravel() * 1j]),
+    ([np.array([[1.0, 1j], [-1j, 2.0]])], [np.eye(2).ravel()]),
+], ids=["complex A", "complex C"])
+def test_problem_rejects_complex_data(C, A):
+    with pytest.raises(ValueError, match="real data"):
+        sdp.SDPProblem([2], C, A, [1.0])
+
+
 def test_hermitian_basis_orthonormal():
     for n in (2, 3):
         B = sdp.hermitian_basis(n)
@@ -176,15 +184,22 @@ def test_model_operator_equality(rng):
 
 
 def test_dual_multipliers_complex_and_presolved(rng):
-    # min Tr CX s.t. Tr X = 1 has the multiplier lambda_min(C); the real
-    # embedding must not halve it
-    C = np.array([[1.0, 1j], [-1j, 2.0]])
+    # min Tr CX s.t. Tr X = 1 has the multiplier lambda_min(C)
+    lam = (3 - np.sqrt(5)) / 2
+    C = np.array([[1.0, 1.0], [1.0, 2.0]])
     sol = sdp.solve(sdp.SDPProblem([2], [C], [np.eye(2).ravel()], [1.0]))
-    assert sol.dual_multipliers[0] == pytest.approx((3 - np.sqrt(5)) / 2,
-                                                    abs=1e-7)
+    assert sol.dual_multipliers[0] == pytest.approx(lam, abs=1e-7)
+    # a Model's multipliers are those of its compiled real program, whose
+    # right-hand sides are doubled and objective halved: lambda_min(C) / 2
+    m = sdp.Model()
+    X = m.var(2)
+    m.set_objective({X: np.array([[1.0, 1j], [-1j, 2.0]])})
+    m.add_eq([(X, lambda M: np.trace(M, axis1=1, axis2=2)[:, None, None])],
+             np.ones((1, 1)))
+    assert m.solve().dual_multipliers[0] == pytest.approx(lam / 2, abs=1e-7)
     # a duplicated row is dropped by the presolve but keeps its slot
-    A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    C = (A + A.conj().T) / 2
+    A = rng.standard_normal((3, 3))
+    C = (A + A.T) / 2
     rows = [np.eye(3), 2 * np.eye(3), np.diag([1.0, 0.0, 0.0])]
     p = sdp.SDPProblem([3], [C], [R.ravel() for R in rows], [1.0, 2.0, 0.25])
     sol = sdp.solve(p)
@@ -221,7 +236,7 @@ def test_solve_factors_each_block_once_per_iteration(monkeypatch):
     for name in calls:
         monkeypatch.setattr(np.linalg, name, counting(name))
     sol = sdp.solve(p)
-    assert sol.status == "optimal" and p.blocks == [4, 4, 1, 4]
+    assert sol.status == "optimal" and p.blocks == [8, 8, 2, 8]  # 2n for n
     assert sol.primal_value == pytest.approx(2.0, abs=1e-7)
     factoring, classes = sol.iterations - 1, len(set(p.blocks))
     # matrices factored: the leading stack sizes of all calls
@@ -264,10 +279,11 @@ def test_model_compiles_constraints_once():
     assert len(p3.A) == len(p2.A) + 1 and p3.A.shape[1] == p2.A.shape[1]
     m.add_psd([(S, lambda X: X[:, :1, :1])], np.full((1, 1), 0.25))
     p4 = m.compile()
-    assert len(p4.A) == len(p3.A) + 1 and p4.A.shape[1] == p3.A.shape[1] + 1
+    # a Hermitian n x n block has 4 n^2 columns in the real embedding
+    assert len(p4.A) == len(p3.A) + 1 and p4.A.shape[1] == p3.A.shape[1] + 4
     m.var(2)
     p5 = m.compile()
-    assert len(p5.A) == len(p4.A) and p5.A.shape[1] == p4.A.shape[1] + 4
+    assert len(p5.A) == len(p4.A) and p5.A.shape[1] == p4.A.shape[1] + 16
     assert p5.A is not p4.A and p5._memo == {}
 
 
@@ -276,7 +292,8 @@ def test_interleaved_block_sizes_closed_form(rng, cplx):
     """min sum_b <C_b, X_b> s.t. Tr X_b = 1, X_b >= 0 is solved at X_b the
     projector onto C_b's lowest eigenvector, with value sum_b lambda_min(C_b).
     The sizes interleave, so the solver's stacks per size class must map
-    back to block order."""
+    back to block order. Complex data goes through Model, whose real blocks
+    of dimension 2n must fold back to the variables in order."""
     sizes = [3, 1, 3, 2, 1]
     offsets = np.cumsum([0] + [n * n for n in sizes])
     A = np.zeros((len(sizes), offsets[-1]))
@@ -290,7 +307,16 @@ def test_interleaved_block_sizes_closed_form(rng, cplx):
         w = np.arange(n) + rng.uniform(-1.0, 1.0)  # eigenvalue gaps of 1
         C.append(Q @ np.diag(w) @ Q.conj().T)
         lowest.append((w[0], Q[:, 0]))
-    sol = sdp.solve(sdp.SDPProblem(sizes, C, A, np.ones(len(sizes))))
+    if cplx:
+        tr = lambda M: np.trace(M, axis1=1, axis2=2)[:, None, None]
+        m = sdp.Model()
+        xs = [m.var(n) for n in sizes]
+        m.set_objective(dict(zip(xs, C)))
+        for x in xs:
+            m.add_eq([(x, tr)], np.ones((1, 1)))
+        sol = m.solve()
+    else:
+        sol = sdp.solve(sdp.SDPProblem(sizes, C, A, np.ones(len(sizes))))
     assert sol.status == "optimal"
     assert abs(sol.primal_value - sum(w for w, _ in lowest)) <= 1e-7
     assert [X.shape for X in sol.primal_blocks] == [(n, n) for n in sizes]
@@ -339,7 +365,7 @@ def test_model_iso_matches_full():
     m, X, s, (U, K, B) = _z2_model([np.eye(4)[:, [0, 2]],
                                     np.eye(4)[:, [1, 3]]])
     p = m.compile()
-    assert p.blocks == [2, 2, 2, 2] and len(p.b) == 9
+    assert p.blocks == [4, 4, 4, 4] and len(p.b) == 9  # 2n for n = 2
     ref, sol = full.solve(), m.solve()
     assert abs(sol.primal_value - ref.primal_value) <= 1e-8
     Xs, S = sol.primal_blocks[X], sol.primal_blocks[s]
@@ -353,7 +379,8 @@ def test_model_iso_matches_full():
 
 def test_bidirectional_reduced_program_sizes(monkeypatch):
     # the Klein-reduced programs of a covariant channel: 68 dual and 129
-    # primal rows (against 272 and 513 in full), every block at most 4x4
+    # primal rows (against 272 and 513 in full), every Hermitian block at
+    # most 4x4, so every real block at most 8x8
     sizes = []
     solve = sdp.solve
 
@@ -363,7 +390,7 @@ def test_bidirectional_reduced_program_sizes(monkeypatch):
     monkeypatch.setattr(sdp, "solve", recorded)
     rains.rmax_bidirectional(qcore.partial_swap(0.3))
     assert [rows for rows, _ in sizes] == [68, 129]
-    assert all(max(blocks) <= 4 for _, blocks in sizes)
+    assert all(max(blocks) <= 8 for _, blocks in sizes)
 
 
 def _stub(status, gap):
