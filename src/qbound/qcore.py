@@ -291,6 +291,8 @@ def depolarizing(d, q):
 
 def erasure(d, q):
     """rho -> (1-q) rho + q |e><e|, output dim d+1, flag last."""
+    if d < 1:
+        raise ValueError("erasure needs d >= 1")
     if not 0 <= q <= 1:
         raise ValueError("q out of range")
     emb = np.zeros((d + 1, d), dtype=complex)
@@ -305,6 +307,8 @@ def erasure(d, q):
 
 def erasure_wiretap_isometry(d, q):
     """U|psi> = sqrt(1-q)|psi>_B|e>_E + sqrt(q)|e>_B|psi>_E."""
+    if d < 1:
+        raise ValueError("erasure wiretap needs d >= 1")
     if not 0 <= q <= 1:
         raise ValueError("q out of range")
     do = d + 1

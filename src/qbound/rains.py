@@ -1,10 +1,10 @@
 """PPT-relaxed entanglement measures and converse-bound arithmetic.
 
 Max-Rains quantities for states, point-to-point channels and
-bidirectional channels (primal and dual programs solved independently;
-each bidirectional program has one builder, which sdp.Model reduces to the
-Klein-symmetry blocks through its iso option when the channel's Klein
-residual is at most 1e-12), the PPT relaxation of the max-relative
+bidirectional channels (one solve of the dual program, whose Lagrange
+multipliers are the primal witness; its builder is reduced by sdp.Model
+to the Klein-symmetry blocks through its iso option when the channel's
+Klein residual is at most 1e-12), the PPT relaxation of the max-relative
 entropy of entanglement, Rains and sandwiched Rains relative entropies by
 away-step Frank-Wolfe over the PPT' spectrahedron, private-state privacy
 tests, and strong/weak-converse rate combinators.
@@ -53,7 +53,11 @@ def rmax_state(rho, dims, tol=1e-8):
 def _inf_norm_rains_sdp(J, dims, keep_idx, transpose_idx, tol, label,
                         iso=(None, None)):
     """min ||Tr_{traced}{V+Y}||_inf s.t. V,Y >= 0, T(V-Y) >= J; iso holds
-    the sdp.Model isometries of the full space and of the kept one."""
+    the sdp.Model isometries of the full space and of the kept one.
+
+    :return: (value, {"V", "Y", "gap"}, (W1, W2)), W1 and W2 the Lagrange
+        multipliers of T(V-Y) >= J and of t 1 >= Tr_{traced}{V+Y}.
+    """
     n = J.shape[0]
     keep_idx = sorted(keep_idx)
     dk = int(np.prod([dims[k] for k in keep_idx]))
@@ -69,8 +73,9 @@ def _inf_norm_rains_sdp(J, dims, keep_idx, transpose_idx, tol, label,
                (V, lambda X: -PT(X)), (Y, lambda X: -PT(X))],
               np.zeros((dk, dk), dtype=complex), iso=iso[1])
     sol = m.solve(tol=tol, label=label)
-    return sol.primal_value, {"V": sol.primal_blocks[V], "Y": sol.primal_blocks[Y],
-                              "gap": sol.gap}
+    return (sol.primal_value, {"V": sol.primal_blocks[V],
+                               "Y": sol.primal_blocks[Y], "gap": sol.gap},
+            sol.multipliers)
 
 
 def rmax_channel(ch, tol=1e-8):
@@ -81,8 +86,9 @@ def rmax_channel(ch, tol=1e-8):
     """
     J = choi_of(ch).matrix
     dims = (ch.in_dim, ch.out_dim)
-    gamma, wit = _inf_norm_rains_sdp(J, dims, keep_idx=[0], transpose_idx=[1],
-                                     tol=tol, label="channel Rains")
+    gamma, wit, _ = _inf_norm_rains_sdp(J, dims, keep_idx=[0],
+                                        transpose_idx=[1], tol=tol,
+                                        label="channel Rains")
     return float(np.log2(max(gamma, 1e-300))), wit
 
 
@@ -155,21 +161,25 @@ def _klein_residual(J):
 
 def rmax_bidirectional(N, tol=1e-9):
     """
-    Bidirectional max-Rains information, via both SDPs independently.
+    Bidirectional max-Rains information, via one solve of the dual SDP.
 
     Dual:   min ||Tr_AB{V+Y}||_inf, V,Y >= 0, T_{B L_B}(V-Y) >= J.
     Primal: max Tr{J X}, X, rho >= 0, Tr{rho} = 1,
             -rho (x) 1_AB <= T_{B L_B}(X) <= rho (x) 1_AB.
+    Each program is the Lagrange dual of the other: the primal witness
+    (X, rho) is read from the dual solve's multipliers of its two operator
+    inequalities, scaled to Tr{rho} = 1 (Vandenberghe-Boyd, SIAM Rev. 38
+    (1996)).
 
     Two-qubit to two-qubit channels are solved in the symmetry-adapted
     basis of the Klein group {P (x) P} when their Choi operator commutes
-    with it to 1e-12: the same two programs, built with the group's
+    with it to 1e-12: the same program, built with the group's
     isotypic blocks as sdp.Model isometries, so four 4x4 blocks per 16x16
     operator instead of one.
     A unitary channel is first replaced by its KAK canonical form, which
     is Klein-covariant and has the same value, and the witnesses are
     rotated back by its local factors. Every other channel, and a unitary
-    whose decomposition fails its check, is solved by the full SDPs. The
+    whose decomposition fails its check, is solved by the full SDP. The
     dispatch is automatic; the values agree to the solver tolerance.
 
     :return: dict with primal/dual Gamma values, their gap, the log2 of
@@ -209,7 +219,7 @@ def rmax_bidirectional(N, tol=1e-9):
 
 
 def _rmax_bidirectional_full(N, tol=1e-9):
-    """rmax_bidirectional by the two SDPs on the full Choi space (the
+    """rmax_bidirectional by the dual SDP on the full Choi space (the
     reference that the symmetry-reduced path is tested against)."""
     J, dims = bidirectional_choi(N)
     return _bidirectional_sdps(J, dims, tol)
@@ -217,7 +227,13 @@ def _rmax_bidirectional_full(N, tol=1e-9):
 
 def _bidirectional_sdps(J, dims, tol, iso=(None, None)):
     """
-    Both bidirectional SDPs of the Choi operator J on (L_A, A, B, L_B).
+    Both bidirectional SDPs of the Choi operator J on (L_A, A, B, L_B),
+    from one solve of the dual. With T = T_{B L_B}, the dual's Lagrangian
+    is t + Tr{X (J - T(V-Y))} + Tr{rho (Tr_AB{V+Y} - t 1)} for multipliers
+    X, rho >= 0. Stationarity in V and Y gives
+    -rho (x) 1_AB <= T(X) <= rho (x) 1_AB, and in t gives Tr{rho} <= 1,
+    with equality at the optimum. Those constraints are homogeneous in
+    (X, rho), so both are divided by Tr{rho} to make it 1 exactly.
 
     iso = (Q, q) holds sdp.Model isometries of the full space and of
     (L_A, L_B): every variable lives in the blocks of its space, and so does
@@ -227,29 +243,15 @@ def _bidirectional_sdps(J, dims, tol, iso=(None, None)):
     on the other, as for the Klein group: an optimal point may then be
     averaged over the group.
     """
-    dual, wit = _inf_norm_rains_sdp(J, dims, keep_idx=[0, 3],
-                                    transpose_idx=[2, 3], tol=tol,
-                                    label="bidirectional dual", iso=iso)
-    la, a, b, lb = dims
-    n = la * a * b * lb
-    embed_rho = lambda R: _bidir_kron(R, np.eye(a * b), dims)
-    T = lambda X: linalg.partial_transpose(X, dims, [2, 3])
-    Tr = lambda R: np.trace(R, axis1=1, axis2=2).real[:, None, None]
-    m = sdp.Model()
-    X = m.var(n, iso=iso[0])
-    rho = m.var(la * lb, iso=iso[1])
-    m.set_objective({X: -J})
-    m.add_psd([(rho, embed_rho), (X, lambda M: -T(M))],
-              np.zeros((n, n), dtype=complex), iso=iso[0])
-    m.add_psd([(rho, embed_rho), (X, T)], np.zeros((n, n), dtype=complex),
-              iso=iso[0])
-    m.add_eq([(rho, Tr)], np.ones((1, 1)))
-    sol = m.solve(tol=tol, label="bidirectional primal")
-    primal = -sol.primal_value
+    dual, wit, (X, rho) = _inf_norm_rains_sdp(
+        J, dims, keep_idx=[0, 3], transpose_idx=[2, 3], tol=tol,
+        label="bidirectional dual", iso=iso)
+    scale = np.trace(rho).real
+    X, rho = X / scale, rho / scale
+    primal = float(np.vdot(J, X).real)
     return {"value": float(np.log2(max((primal + dual) / 2, 1e-300))),
             "gamma_primal": primal, "gamma_dual": dual,
-            "gap": abs(primal - dual), "witness": wit,
-            "X": sol.primal_blocks[X], "rho": sol.primal_blocks[rho]}
+            "gap": abs(primal - dual), "witness": wit, "X": X, "rho": rho}
 
 
 def emax_ppt(rho, dims, tol=1e-8):

@@ -41,7 +41,9 @@ one PSD block, or, declared with isometries iso = [Q_k], the sum
 sum_k Q_k V_k Q_k^dag of one PSD block per Q_k; an inequality given iso
 is imposed on each block Q_j^dag (.) Q_j. compile writes each block of
 dimension n as a real block of dimension 2n; Model.solve folds each back
-and returns primal_blocks indexed by variable, lifted to full size.
+and returns primal_blocks indexed by variable, lifted to full size, and
+multipliers indexed by constraint: each constraint's Hermitian Lagrange
+multiplier at full size.
 
 Acceptance contract: solve() is the raw solver; it reports its status
 and raises nothing for a failed solve. Model.solve() is the one place
@@ -399,8 +401,14 @@ class Model:
     block of dimension n becomes its real embedding of dimension 2n, the
     objective embed(C)/2 and the right-hand sides doubled, so the real
     program's optimum is the same; its dual_multipliers are the real
-    program's. solve() folds each block back to n x n and returns
-    primal_blocks indexed by variable, each lifted back to full size.
+    program's, half the Hermitian program's. solve() folds each block back
+    to n x n and returns primal_blocks indexed by variable, each lifted
+    back to full size, and multipliers, one full-size Hermitian operator
+    per add_eq or add_psd in call order:
+    W = 2 sum_j Q_j (sum_l y_l H_l) Q_j^dag over the constraint's rows l
+    of output block j, H_l the hermitian_basis element of the row. The
+    multiplier of an add_psd is that inequality's, so it is PSD, and
+    sum over constraints of Re Tr{G W} is the dual value.
     compile builds the constraint side once, until var, add_eq or add_psd
     is called; set_objective alone only changes the objective, so solves
     for many objectives share one prepared constraint side.
@@ -457,12 +465,16 @@ class Model:
         p._memo = memo
         return p
 
+    def _out_dims(self):
+        """The dimensions of each constraint's output blocks; a constraint
+        has one row per basis element of each, in this order."""
+        return [[G.shape[0] if Q is None else Q.shape[1] for Q in out]
+                for _, G, out in self._eqs]
+
     def _constraints(self):
         """(A, b) of the constraints, in SDPProblem's layout, each block's
         columns in the real embedding."""
-        # each equation has one row per basis element of each output block
-        outs = [[G.shape[0] if Q is None else Q.shape[1] for Q in out]
-                for _, G, out in self._eqs]
+        outs = self._out_dims()
         m = sum(d * d for dims in outs for d in dims)
         widths = [4 * n * n for n in self._sizes]
         A = np.zeros((m, sum(widths)))
@@ -498,7 +510,10 @@ class Model:
         """Compile and solve; return the solution if it counts (see the
         module docstring), else raise ArithmeticError naming label. Its
         primal_blocks hold one full-size matrix per variable, each real
-        block folded back to its n x n Hermitian block first."""
+        block folded back to its n x n Hermitian block first, and its
+        multipliers one full-size Hermitian multiplier per constraint, in
+        the order add_eq and add_psd were called (see the class
+        docstring)."""
         sol = solve(self.compile(), tol=tol, max_iter=max_iter)
         if sol.status == "optimal" or (sol.status == "numerical_limit"
                                        and sol.gap <= max(100 * tol, 1e-7)):
@@ -508,6 +523,16 @@ class Model:
             sol.primal_blocks = [sum(_lift(Q, blocks[first + k])
                                      for k, Q in enumerate(iso))
                                  for iso, first in self._vars]
+            # the real program's multipliers are half the Hermitian ones
+            y, r0 = 2 * sol.dual_multipliers, 0
+            sol.multipliers = []
+            for (_, _, out), dims in zip(self._eqs, self._out_dims()):
+                W = 0
+                for Q, d in zip(out, dims):
+                    W = W + _lift(Q, (y[r0:r0 + d * d] @ hermitian_basis(d)
+                                      .reshape(d * d, -1)).reshape(d, d))
+                    r0 += d * d
+                sol.multipliers.append(W)
             return sol
         raise ArithmeticError("%s SDP failed: %s (gap %.3g)"
                               % (label, sol.status, sol.gap))

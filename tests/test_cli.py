@@ -118,6 +118,20 @@ def test_depolarizing_trivial_dimension_exit_code(capsys, cmd, d):
     assert "d >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+@pytest.mark.parametrize("cmd", [["rains-channel", "--channel", "erasure"],
+                                 ["capacity", "--cell", "erasure"],
+                                 ["nonunitarity", "--channel", "erasure"],
+                                 ["private-rate"]],
+                         ids=["rains-channel", "capacity", "nonunitarity",
+                              "private-rate"])
+def test_erasure_empty_dimension_exit_code(capsys, cmd, d):
+    with pytest.raises(SystemExit) as e:
+        cli.main(cmd + ["--d", d])
+    assert e.value.code == 2
+    assert "d >= 1" in capsys.readouterr().err
+
+
 def test_dynamics_negative_steps_exit_code(capsys):
     with pytest.raises(SystemExit) as e:
         cli.main(["dynamics", "--steps", "-1"])

@@ -44,6 +44,15 @@ def test_depolarizing_rejects_trivial_dimension(d):
         qcore.depolarizing(d, 0.0)
 
 
+@pytest.mark.parametrize("make", [qcore.erasure,
+                                  qcore.erasure_wiretap_isometry],
+                         ids=["erasure", "erasure_wiretap_isometry"])
+@pytest.mark.parametrize("d", [0, -1])
+def test_erasure_rejects_empty_dimension(make, d):
+    with pytest.raises(ValueError, match="d >= 1"):
+        make(d, 0.0)
+
+
 def test_erasure_channel():
     d, q = 2, 0.3
     ch = qcore.erasure(d, q)

@@ -83,11 +83,14 @@ def _criterion_9_unitaries():
 
 
 def _certified_channels():
-    # a Klein-covariant channel and a Haar unitary, which is solved in
-    # its KAK canonical frame and rotated back
+    # a Klein-covariant channel, a Haar unitary, which is solved in its KAK
+    # canonical frame and rotated back, and the seeded 2-Kraus channel of
+    # test_bidirectional_non_covariant_takes_full_path, on the full path
     U = haar_unitary(4, np.random.default_rng(3))
+    ch = random_channel(4, 4, 2, np.random.default_rng(9))
     return [qcore.partial_swap(0.25),
-            qcore.BipartiteChannel(qcore.KrausChannel([U]), (2, 2), (2, 2))]
+            qcore.BipartiteChannel(qcore.KrausChannel([U]), (2, 2), (2, 2)),
+            qcore.BipartiteChannel(ch, (2, 2), (2, 2))]
 
 
 def test_bidirectional_primal_certificate():

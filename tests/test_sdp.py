@@ -377,10 +377,42 @@ def test_model_iso_matches_full():
     assert np.abs(S - (B - K @ Xs @ K.conj().T)).max() <= 1e-7
 
 
+def test_model_multipliers_trace_constrained_min():
+    # min Tr CX s.t. Tr X = 1: the Hermitian multiplier is lambda_min(C),
+    # twice the compiled real program's
+    lam = (3 - np.sqrt(5)) / 2
+    m = sdp.Model()
+    X = m.var(2)
+    m.set_objective({X: np.array([[1.0, 1j], [-1j, 2.0]])})
+    m.add_eq([(X, lambda M: np.trace(M, axis1=1, axis2=2)[:, None, None])],
+             np.ones((1, 1)))
+    W, = m.solve().multipliers
+    assert W.shape == (1, 1)
+    assert abs(W[0, 0] - lam) <= 1e-7
+
+
+def test_model_multipliers_iso_matches_full():
+    full = _z2_model(None)[0]
+    m, _, s, (_, _, B) = _z2_model([np.eye(4)[:, [0, 2]],
+                                    np.eye(4)[:, [1, 3]]])
+    ref, sol = full.solve(), m.solve()
+    W = sol.multipliers[1]
+    assert W.shape == (4, 4)
+    assert np.abs(W - ref.multipliers[1]).max() <= 1e-6
+    assert np.linalg.eigvalsh(W)[0] >= -1e-8
+    # complementary slackness against the inequality's slack
+    assert abs(np.trace(W @ sol.primal_blocks[s])) <= 1e-7
+    # strong duality: sum_e Re Tr(G_e W_e) is the dual value
+    for x in (ref, sol):
+        G = [np.ones((1, 1)), -B]
+        dual = sum(np.trace(Ge @ We).real for Ge, We in zip(G, x.multipliers))
+        assert abs(dual - x.dual_value) <= 1e-9
+
+
 def test_bidirectional_reduced_program_sizes(monkeypatch):
-    # the Klein-reduced programs of a covariant channel: 68 dual and 129
-    # primal rows (against 272 and 513 in full), every Hermitian block at
-    # most 4x4, so every real block at most 8x8
+    # one solve, of the dual only: 68 rows for a covariant channel's
+    # Klein-reduced program, every Hermitian block at most 4x4 (so every
+    # real block at most 8x8), and 272 rows in full
     sizes = []
     solve = sdp.solve
 
@@ -389,8 +421,10 @@ def test_bidirectional_reduced_program_sizes(monkeypatch):
         return solve(p, **kw)
     monkeypatch.setattr(sdp, "solve", recorded)
     rains.rmax_bidirectional(qcore.partial_swap(0.3))
-    assert [rows for rows, _ in sizes] == [68, 129]
-    assert all(max(blocks) <= 8 for _, blocks in sizes)
+    assert [rows for rows, _ in sizes] == [68]
+    assert max(sizes[0][1]) <= 8
+    rains._rmax_bidirectional_full(qcore.partial_swap(0.3))
+    assert [rows for rows, _ in sizes] == [68, 272]
 
 
 def _stub(status, gap):
