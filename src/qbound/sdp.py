@@ -106,9 +106,30 @@ class SDPSolution:
         self.status = status
         self.iterations = iterations
 
+    @functools.cached_property
+    def multipliers(self):
+        """Model.solve's full-size Hermitian multiplier of each constraint,
+        folded from dual_multipliers on first read (see Model)."""
+        return self._fold_multipliers()
+
     def __repr__(self):
         return ("SDPSolution(status=%s, primal=%.10g, dual=%.10g, gap=%.3g)"
                 % (self.status, self.primal_value, self.dual_value, self.gap))
+
+
+def _fold_multipliers(outs, dims, y):
+    """W = 2 sum_j Q_j (sum_l y_l H_l) Q_j^dag of each constraint, its
+    output blocks' isometries Q_j in outs and dimensions in dims: the real
+    program's multipliers y are half the Hermitian ones."""
+    W, r0 = [], 0
+    for out, ds in zip(outs, dims):
+        Wc = 0
+        for Q, d in zip(out, ds):
+            Wc = Wc + _lift(Q, (2 * y[r0:r0 + d * d] @ hermitian_basis(d)
+                                .reshape(d * d, -1)).reshape(d, d))
+            r0 += d * d
+        W.append(Wc)
+    return W
 
 
 def _size_classes(dims):
@@ -523,16 +544,9 @@ class Model:
             sol.primal_blocks = [sum(_lift(Q, blocks[first + k])
                                      for k, Q in enumerate(iso))
                                  for iso, first in self._vars]
-            # the real program's multipliers are half the Hermitian ones
-            y, r0 = 2 * sol.dual_multipliers, 0
-            sol.multipliers = []
-            for (_, _, out), dims in zip(self._eqs, self._out_dims()):
-                W = 0
-                for Q, d in zip(out, dims):
-                    W = W + _lift(Q, (y[r0:r0 + d * d] @ hermitian_basis(d)
-                                      .reshape(d * d, -1)).reshape(d, d))
-                    r0 += d * d
-                sol.multipliers.append(W)
+            sol._fold_multipliers = functools.partial(
+                _fold_multipliers, [out for _, _, out in self._eqs],
+                self._out_dims(), sol.dual_multipliers)
             return sol
         raise ArithmeticError("%s SDP failed: %s (gap %.3g)"
                               % (label, sol.status, sol.gap))

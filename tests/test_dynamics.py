@@ -39,6 +39,46 @@ def test_generator_traceless(rng):
     assert abs(lhs - rhs) < 1e-12
 
 
+def _random_complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_generator_time_dependent_parts_match_direct_formula(d, rng):
+    """Callable H(t) and A(t), a callable rate on a constant jump and a
+    constant term, applied to a stack of non-Hermitian matrices."""
+    H0, H1 = (X + X.conj().T for X in _random_complex(rng, 2, d, d))
+    A0, A1, B, C = _random_complex(rng, 4, d, d)
+    H = lambda t: H0 + t * H1
+    A = lambda t: A0 + math.sin(t) * A1
+    jumps = [(lambda t: 0.5 + t * t, A), (lambda t: math.cos(t), B), (0.3, C)]
+    gen = dyn.LindbladGenerator(H, jumps)
+
+    def direct(t, R, adjoint):
+        Ht = H(t)
+        out = (1j if adjoint else -1j) * (Ht @ R - R @ Ht)
+        for g, Aj in jumps:
+            g = g(t) if callable(g) else g
+            Aj = Aj(t) if callable(Aj) else Aj
+            Ad, AdA = Aj.conj().T, Aj.conj().T @ Aj
+            sandwich = Ad @ R @ Aj if adjoint else Aj @ R @ Ad
+            out = out + g * (sandwich - 0.5 * (AdA @ R + R @ AdA))
+        return out
+
+    rho, X = _random_complex(rng, 2, 3, d, d)
+    for t in (0.0, 0.7):
+        L_rho = gen.apply(t, rho)
+        adj_X = gen.adjoint_apply(t, X)
+        assert L_rho.shape == adj_X.shape == (3, d, d)
+        assert np.abs(L_rho - direct(t, rho, False)).max() <= 1e-12
+        assert np.abs(adj_X - direct(t, X, True)).max() <= 1e-12
+        # Tr{X L(rho)} = Tr{L^dag(X) rho}: the generator preserves
+        # Hermiticity, so this holds without conjugating X
+        lhs = np.einsum('kij,kji->k', X, L_rho)
+        rhs = np.einsum('kij,kji->k', adj_X, rho)
+        assert np.abs(lhs - rhs).max() <= 1e-12
+
+
 def test_evolve_amplitude_damping():
     gen = damping_generator()
     rho0 = np.diag([0.0, 1.0]).astype(complex)
@@ -64,6 +104,24 @@ def test_evolve_raises_on_step_size_underflow():
     rho0 = np.diag([0.0, 1.0]).astype(complex)
     with pytest.raises(ArithmeticError, match="step size underflow"):
         dyn.evolve(gen, rho0, [0.0, 1.0], local_err=0.0)
+
+
+@pytest.mark.parametrize("local_err", [-1.0, float("nan")])
+def test_evolve_rejects_bad_local_err(local_err):
+    # a negative bound rejected even a step of error 0 and grew its size
+    # without end, so evolve never returned
+    with pytest.raises(ValueError, match="local_err"):
+        dyn.evolve(damping_generator(), np.eye(2) / 2, [0.0, 1.0],
+                   local_err=local_err)
+
+
+@pytest.mark.parametrize("t_grid", [[], [0.0, float("nan"), 1.0],
+                                    [0.0, float("inf")]])
+def test_evolve_rejects_empty_or_non_finite_grid(t_grid):
+    # a time that is not finite made the step size NaN or infinite, and
+    # the step loop never ended
+    with pytest.raises(ValueError, match="t_grid"):
+        dyn.evolve(damping_generator(), np.eye(2) / 2, t_grid)
 
 
 @pytest.mark.parametrize("d", [2, 3])
