@@ -1,10 +1,12 @@
 """Command-line driver.
 
 Named computations and parameter sweeps with CSV or JSON output, plus a
-property-suite runner. Sweep grids are start:end:count (fractions such
-as 4/3 allowed); outputs are deterministic for a fixed seed. Exit codes:
-0 success, 2 argument error, 3 numerical failure (diagnostic JSON on
-stderr). QBOUND_THREADS caps sweep parallelism.
+property-suite runner. Every sweep runs through _sweep: a start:end:count
+grid (fractions such as 4/3 allowed) or one value, on up to QBOUND_THREADS
+threads, rows in grid order and bytes independent of the thread count.
+Outputs are deterministic for a fixed seed. Exit codes: 0 success, 2
+argument error (a non-finite or out-of-range number included), 3 numerical
+failure (diagnostic JSON on stderr).
 """
 import argparse
 import json
@@ -21,10 +23,14 @@ from . import infomeasures as im
 
 
 def _num(s):
-    """Locale-free scalar: plain float or a fraction like 4/3."""
-    if "/" in s:
-        return float(Fraction(s))
-    return float(s)
+    """Locale-free finite scalar: plain float or a fraction like 4/3."""
+    try:
+        v = float(Fraction(s)) if "/" in s else float(s)
+    except ArithmeticError:
+        v = math.nan
+    if not math.isfinite(v):
+        raise ValueError("not a finite number: %r" % s)
+    return v
 
 
 def parse_grid(spec):
@@ -65,14 +71,14 @@ def emit(args, meta, columns, rows):
         sys.stdout.write(text)
 
 
-def _pool():
-    n = int(os.environ.get("QBOUND_THREADS", "1"))
-    return ThreadPoolExecutor(max_workers=max(1, n))
-
-
-def _sweep(fn, points):
-    with _pool() as ex:
-        return list(ex.map(fn, points))
+def _sweep(point, grid, value):
+    """point's rows at each value of the start:end:count grid, or at value
+    alone when no grid is given, in grid order; the points run on up to
+    QBOUND_THREADS threads."""
+    xs = parse_grid(grid) if grid else [value]
+    n = max(1, int(os.environ.get("QBOUND_THREADS", "1")))
+    with ThreadPoolExecutor(max_workers=n) as ex:
+        return list(ex.map(point, xs))
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +91,10 @@ def cmd_rains_state(args):
         rho = qcore.max_ent_state(d)
     elif args.state == "isotropic":
         f = args.param
+        # eigenvalues f + (1-f)/d^2 and (1-f)/d^2: PSD iff this holds
+        if not (f <= 1 and f * (d * d - 1) >= -1):
+            raise ValueError("--param of the isotropic state must lie in "
+                             "[-1/(d^2-1), 1], got %r" % f)
         rho = f * qcore.max_ent_state(d) \
             + (1 - f) * np.eye(d * d, dtype=complex) / d ** 2
     elif args.state == "product":
@@ -99,6 +109,9 @@ def cmd_rains_state(args):
 
 
 def _named_channel(name, d, q, theta):
+    if name in ("dephasing", "gadc") and d != 2:
+        raise ValueError("channel %s is a qubit channel: --d must be 2, "
+                         "got %d" % (name, d))
     if name == "identity":
         return qcore.identity_channel(d)
     if name == "depolarizing":
@@ -112,19 +125,28 @@ def _named_channel(name, d, q, theta):
     raise ValueError("unknown channel %r" % name)
 
 
-def cmd_rains_channel(args):
-    qs = parse_grid(args.q_grid) if args.q_grid else [args.q]
+def _channel_command(quantity, base, value):
+    """The command body of rains-channel and nonunitarity: value(channel,
+    tol) of the named channel at each q."""
+    def cmd(args):
+        def point(q):
+            ch = _named_channel(args.channel, args.d, q, args.theta)
+            return [q, value(ch, args.tol)]
 
-    def point(q):
-        ch = _named_channel(args.channel, args.d, q, args.theta)
-        v, _ = rains.rmax_channel(ch, tol=args.tol)
-        return [q, v]
+        rows = _sweep(point, args.q_grid, args.q)
+        meta = {"quantity": quantity, "base": base, "tolerance": args.tol,
+                "channel": args.channel}
+        emit(args, meta, ["q", "value"], rows)
+        return 0
+    return cmd
 
-    rows = _sweep(point, qs)
-    meta = {"quantity": "max_rains_channel", "base": "bits",
-            "tolerance": args.tol, "channel": args.channel}
-    emit(args, meta, ["q", "value"], rows)
-    return 0
+
+cmd_rains_channel = _channel_command(
+    "max_rains_channel", "bits",
+    lambda ch, tol: rains.rmax_channel(ch, tol=tol)[0])
+cmd_nonunitarity = _channel_command(
+    "nonunitarity_diamond", "dimensionless",
+    lambda ch, tol: dynamics.nonunitarity(ch, tol=tol))
 
 
 def _bidir_channel(name, p, phi):
@@ -143,14 +165,12 @@ def _bidir_channel(name, p, phi):
 
 
 def cmd_rains_bidir(args):
-    ps = parse_grid(args.p_grid) if args.p_grid else [args.p]
-
     def point(p):
         N = _bidir_channel(args.channel, p, args.phi)
         r = rains.rmax_bidirectional(N, tol=args.tol)
         return [p, r["value"], r["gap"]]
 
-    rows = _sweep(point, ps)
+    rows = _sweep(point, args.p_grid, args.p)
     meta = {"quantity": "max_rains_bidirectional", "base": "bits",
             "tolerance": args.tol, "channel": args.channel}
     emit(args, meta, ["p", "value", "primal_dual_gap"], rows)
@@ -165,14 +185,13 @@ def cmd_capacity(args):
                 "tolerance": 1e-10}
         emit(args, meta, ["photons", "value"], [[args.photons, v]])
         return 0
-    qs = parse_grid(args.q_grid) if args.q_grid else [args.q]
 
     def point(q):
         ch = _named_channel(args.cell, args.d, q, args.theta)
         v = reading.covariant_cell_capacity(ch, qcore.hw_group(args.d))
         return [q, v]
 
-    rows = _sweep(point, qs)
+    rows = _sweep(point, args.q_grid, args.q)
     meta = {"quantity": "covariant_cell_capacity", "base": "bits",
             "tolerance": 1e-10, "cell": args.cell}
     emit(args, meta, ["q", "value"], rows)
@@ -180,7 +199,6 @@ def cmd_capacity(args):
 
 
 def cmd_private_rate(args):
-    qs = parse_grid(args.q_grid) if args.q_grid else [args.q]
     d = args.d
 
     def point(q):
@@ -191,7 +209,7 @@ def cmd_private_rate(args):
         ci = reading.coherent_info_rate(cell, p, phi)
         return [q, rate, ci]
 
-    rows = _sweep(point, qs)
+    rows = _sweep(point, args.q_grid, args.q)
     meta = {"quantity": "private_reading_rate_n1", "base": "bits",
             "tolerance": 1e-9}
     emit(args, meta, ["q", "rate", "coherent_info"], rows)
@@ -212,6 +230,8 @@ def cmd_secure_read(args):
 def cmd_dynamics(args):
     if args.steps < 0:
         raise ValueError("--steps must be >= 0")
+    if args.t_max < 0:
+        raise ValueError("--t-max must be >= 0")
     ts = list(np.linspace(0.0, args.t_max, args.steps + 1))
     if args.preset == "gadc":
         fam = dynamics.gadc_family(args.omega)
@@ -227,21 +247,6 @@ def cmd_dynamics(args):
     meta = {"quantity": "dynamics_" + args.preset, "base": "nats",
             "tolerance": 1e-9}
     emit(args, meta, cols, rows)
-    return 0
-
-
-def cmd_nonunitarity(args):
-    qs = parse_grid(args.q_grid) if args.q_grid else [args.q]
-
-    def point(q):
-        ch = _named_channel(args.channel, args.d, q, args.theta)
-        v = dynamics.nonunitarity(ch, tol=args.tol)
-        return [q, v]
-
-    rows = _sweep(point, qs)
-    meta = {"quantity": "nonunitarity_diamond", "base": "dimensionless",
-            "tolerance": args.tol, "channel": args.channel}
-    emit(args, meta, ["q", "value"], rows)
     return 0
 
 
@@ -272,10 +277,8 @@ def cmd_props(args):
     for t, r in zip(ts[1:], traj[1:]):
         num = dynamics.entropy_rate(r, gen.apply(t, r))
         rr = dynamics.evolve(gen, r, [t, t + 1e-6])[-1]
-        rl = dynamics.evolve(gen, r, [t, t])[-1]
-        s1 = -sum(v * math.log(v) for v in np.linalg.eigvalsh(rr) if v > 1e-15)
-        s0 = -sum(v * math.log(v) for v in np.linalg.eigvalsh(rl) if v > 1e-15)
-        ok &= abs((s1 - s0) / 1e-6 - num) < 1e-4
+        fd = (im.entropy(rr, base="nats") - im.entropy(r, base="nats")) / 1e-6
+        ok &= abs(fd - num) < 1e-4
     record("entropy_rate_finite_difference", ok)
 
     # zero-error certificate
@@ -310,6 +313,15 @@ def build_parser():
     common.add_argument("--output", help="output file (default stdout)")
     common.add_argument("--format", choices=["csv", "json"], default="csv")
     common.add_argument("--seed", type=int, default=0)
+    # the q sweep of a dimension-d channel or cell, and a named channel
+    q_sweep = argparse.ArgumentParser(add_help=False)
+    q_sweep.add_argument("--d", type=int, default=2)
+    q_sweep.add_argument("--q", type=_num, default=0.0)
+    q_sweep.add_argument("--q-grid")
+    channel = argparse.ArgumentParser(add_help=False)
+    channel.add_argument("--channel", default="depolarizing")
+    channel.add_argument("--theta", type=_num, default=0.5)
+    channel.add_argument("--tol", type=_num, default=1e-8)
     sub = p.add_subparsers(dest="cmd", required=True)
 
     s = sub.add_parser("rains-state", parents=[common],
@@ -322,15 +334,9 @@ def build_parser():
     s.add_argument("--tol", type=_num, default=1e-8)
     s.set_defaults(func=cmd_rains_state)
 
-    s = sub.add_parser("rains-channel", parents=[common],
+    s = sub.add_parser("rains-channel", parents=[common, channel, q_sweep],
                        help="max-Rains information of a named channel; "
                             "CSV columns: q,value")
-    s.add_argument("--channel", default="depolarizing")
-    s.add_argument("--d", type=int, default=2)
-    s.add_argument("--q", type=_num, default=0.0)
-    s.add_argument("--q-grid")
-    s.add_argument("--theta", type=_num, default=0.5)
-    s.add_argument("--tol", type=_num, default=1e-8)
     s.set_defaults(func=cmd_rains_channel)
 
     s = sub.add_parser("rains-bidir", parents=[common],
@@ -345,26 +351,20 @@ def build_parser():
     s.add_argument("--tol", type=_num, default=1e-9)
     s.set_defaults(func=cmd_rains_bidir)
 
-    s = sub.add_parser("capacity", parents=[common],
+    s = sub.add_parser("capacity", parents=[common, q_sweep],
                        help="reading capacity of a named cell; CSV "
                             "columns: q,value (thermal: photons,value)")
     s.add_argument("--cell", default="erasure",
                    choices=["erasure", "depolarizing", "identity",
                             "thermal"])
-    s.add_argument("--d", type=int, default=2)
-    s.add_argument("--q", type=_num, default=0.0)
-    s.add_argument("--q-grid")
     s.add_argument("--theta", type=_num, default=0.5)
     s.add_argument("--photons", default="0,1",
                    help="comma-separated mean photon numbers")
     s.set_defaults(func=cmd_capacity)
 
-    s = sub.add_parser("private-rate", parents=[common],
+    s = sub.add_parser("private-rate", parents=[common, q_sweep],
                        help="private reading rate of the erasure wiretap "
                             "cell; CSV columns: q,rate,coherent_info")
-    s.add_argument("--d", type=int, default=2)
-    s.add_argument("--q", type=_num, default=0.0)
-    s.add_argument("--q-grid")
     s.set_defaults(func=cmd_private_rate)
 
     s = sub.add_parser("secure-read", parents=[common],
@@ -390,15 +390,9 @@ def build_parser():
     s.add_argument("--steps", type=int, default=200)
     s.set_defaults(func=cmd_dynamics)
 
-    s = sub.add_parser("nonunitarity", parents=[common],
+    s = sub.add_parser("nonunitarity", parents=[common, channel, q_sweep],
                        help="diamond-norm nonunitarity sweep; CSV "
                             "columns: q,value")
-    s.add_argument("--channel", default="depolarizing")
-    s.add_argument("--d", type=int, default=2)
-    s.add_argument("--q", type=_num, default=0.0)
-    s.add_argument("--q-grid")
-    s.add_argument("--theta", type=_num, default=0.5)
-    s.add_argument("--tol", type=_num, default=1e-8)
     s.set_defaults(func=cmd_nonunitarity)
 
     s = sub.add_parser("props", parents=[common], help="run the quick property suite; CSV "

@@ -24,6 +24,8 @@ def maximally_mixed(d):
 
 def max_ent_vector(d, normalized=True):
     """|Phi> = (1/sqrt d) sum_i |ii> (or the unnormalized |Upsilon>)."""
+    if d < 1:
+        raise ValueError("max_ent_vector needs d >= 1")
     v = np.zeros(d * d, dtype=complex)
     for i in range(d):
         v[i * d + i] = 1.0

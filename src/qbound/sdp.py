@@ -43,7 +43,7 @@ is imposed on each block Q_j^dag (.) Q_j. compile writes each block of
 dimension n as a real block of dimension 2n; Model.solve folds each back
 and returns primal_blocks indexed by variable, lifted to full size, and
 multipliers indexed by constraint: each constraint's Hermitian Lagrange
-multiplier at full size.
+multiplier at full size (None on a raw solve() result).
 
 Acceptance contract: solve() is the raw solver; it reports its status
 and raises nothing for a failed solve. Model.solve() is the one place
@@ -96,21 +96,20 @@ class SDPProblem:
 
 
 class SDPSolution:
+    """One solve's result. multipliers is None from the raw solve(); from
+    Model.solve it holds each constraint's full-size Hermitian multiplier,
+    folded from dual_multipliers (see Model)."""
+
     def __init__(self, primal_value, dual_value, primal_blocks,
                  dual_multipliers, gap, status, iterations=0):
         self.primal_value = primal_value
         self.dual_value = dual_value
         self.primal_blocks = primal_blocks
         self.dual_multipliers = dual_multipliers
+        self.multipliers = None
         self.gap = gap
         self.status = status
         self.iterations = iterations
-
-    @functools.cached_property
-    def multipliers(self):
-        """Model.solve's full-size Hermitian multiplier of each constraint,
-        folded from dual_multipliers on first read (see Model)."""
-        return self._fold_multipliers()
 
     def __repr__(self):
         return ("SDPSolution(status=%s, primal=%.10g, dual=%.10g, gap=%.3g)"
@@ -544,9 +543,9 @@ class Model:
             sol.primal_blocks = [sum(_lift(Q, blocks[first + k])
                                      for k, Q in enumerate(iso))
                                  for iso, first in self._vars]
-            sol._fold_multipliers = functools.partial(
-                _fold_multipliers, [out for _, _, out in self._eqs],
-                self._out_dims(), sol.dual_multipliers)
+            sol.multipliers = _fold_multipliers(
+                [out for _, _, out in self._eqs], self._out_dims(),
+                sol.dual_multipliers)
             return sol
         raise ArithmeticError("%s SDP failed: %s (gap %.3g)"
                               % (label, sol.status, sol.gap))

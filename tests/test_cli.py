@@ -122,14 +122,51 @@ def test_depolarizing_trivial_dimension_exit_code(capsys, cmd, d):
 @pytest.mark.parametrize("cmd", [["rains-channel", "--channel", "erasure"],
                                  ["capacity", "--cell", "erasure"],
                                  ["nonunitarity", "--channel", "erasure"],
-                                 ["private-rate"]],
+                                 ["private-rate"],
+                                 ["rains-state", "--state", "max-ent"]],
                          ids=["rains-channel", "capacity", "nonunitarity",
-                              "private-rate"])
+                              "private-rate", "rains-state"])
 def test_erasure_empty_dimension_exit_code(capsys, cmd, d):
     with pytest.raises(SystemExit) as e:
         cli.main(cmd + ["--d", d])
     assert e.value.code == 2
     assert "d >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["dynamics", "--t-max", "nan"], "--t-max"),
+    (["dynamics", "--omega", "nan"], "--omega"),
+    (["dynamics", "--t-max", "inf"], "--t-max"),
+    (["private-rate", "--q", "1e400"], "--q"),
+    (["rains-bidir", "--channel", "swap-dephasing", "--phi", "nan"], "--phi"),
+    (["rains-state", "--state", "isotropic", "--param", "2"], "--param"),
+    (["rains-state", "--state", "isotropic", "--param", "-0.5"], "--param"),
+    (["dynamics", "--t-max", "-1"], "--t-max"),
+], ids=["t-max-nan", "omega-nan", "t-max-inf", "q-overflow", "phi-nan",
+        "param-above-1", "param-below-psd", "t-max-negative"])
+def test_unusable_number_exit_code(capsys, argv, option):
+    # a non-finite number, a non-PSD isotropic state (d = 2 needs
+    # param >= -1/3) and a negative time are refused, naming the option
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert option in out.err
+
+
+@pytest.mark.parametrize("cmd", [["rains-channel", "--channel", "gadc",
+                                  "--q", "0.2"],
+                                 ["nonunitarity", "--channel", "dephasing",
+                                  "--q", "0.5"]],
+                         ids=["rains-channel-gadc", "nonunitarity-dephasing"])
+def test_qubit_channel_rejects_other_dimension(capsys, cmd):
+    with pytest.raises(SystemExit) as e:
+        cli.main(cmd + ["--d", "3"])
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--d must be 2" in out.err
 
 
 def test_dynamics_negative_steps_exit_code(capsys):
@@ -169,3 +206,18 @@ def test_thread_cap_respected(monkeypatch, capsys):
                        "--q-grid", "0:1:3")
     assert code == 0
     assert len(out.strip().split("\n")) == 5  # meta + header + 3 rows
+
+
+@pytest.mark.parametrize("cmd", [["rains-bidir", "--p-grid", "0:1:5"],
+                                 ["nonunitarity", "--q-grid", "0:1:3"],
+                                 ["capacity", "--q-grid", "0:1:3"],
+                                 ["private-rate", "--q-grid", "0:1:3"]],
+                         ids=["rains-bidir", "nonunitarity", "capacity",
+                              "private-rate"])
+def test_sweep_bytes_independent_of_threads(monkeypatch, capsys, cmd):
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QBOUND_THREADS", threads)
+        outputs.append(run(capsys, *cmd))
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]

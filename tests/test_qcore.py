@@ -53,6 +53,13 @@ def test_erasure_rejects_empty_dimension(make, d):
         make(d, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", [0, -1])
+def test_max_ent_vector_rejects_empty_dimension(d):
+    with pytest.raises(ValueError, match="d >= 1"):
+        qcore.max_ent_vector(d)
+
+
 def test_erasure_channel():
     d, q = 2, 0.3
     ch = qcore.erasure(d, q)

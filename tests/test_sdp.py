@@ -377,6 +377,13 @@ def test_model_iso_matches_full():
     assert np.abs(S - (B - K @ Xs @ K.conj().T)).max() <= 1e-7
 
 
+def test_raw_solve_has_no_multipliers():
+    # only Model.solve folds dual_multipliers into Hermitian multipliers
+    sol = sdp.solve(scalar_lp())
+    assert sol.status == "optimal"
+    assert sol.multipliers is None
+
+
 def test_model_multipliers_trace_constrained_min():
     # min Tr CX s.t. Tr X = 1: the Hermitian multiplier is lambda_min(C),
     # twice the compiled real program's
