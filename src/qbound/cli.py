@@ -98,6 +98,8 @@ def cmd_rains_state(args):
         rho = f * qcore.max_ent_state(d) \
             + (1 - f) * np.eye(d * d, dtype=complex) / d ** 2
     elif args.state == "product":
+        if d < 1:
+            raise ValueError("--state product needs --d >= 1, got %d" % d)
         rho = np.eye(d * d, dtype=complex) / d ** 2
     else:
         raise ValueError("unknown state %r" % args.state)

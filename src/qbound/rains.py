@@ -276,9 +276,12 @@ def emax_ppt(rho, dims, tol=1e-8):
 @functools.lru_cache(maxsize=None)
 def _ppt_prime_model(dims):
     """The PPT' linear oracle's program for dims, with its constraint side
-    compiled, and the index of its variable sigma. Callers must not mutate
-    it: ppt_prime_lmo sets each objective on a shallow copy, which shares
-    the compiled constraints."""
+    compiled, and the index of its variable sigma: sigma = T_B(C - D) with
+    C, D >= 0 and Tr(C + D) = 1, an equality. Its feasible sigma are all of
+    PPT': for T_B sigma = P - N, P and N its positive and negative parts,
+    C = P + e 1 and D = N + e 1 with e = (1 - Tr(P + N)) / 2n >= 0 meet
+    the equality. Callers must not mutate it: ppt_prime_lmo sets each
+    objective on a shallow copy, which shares the compiled constraints."""
     n = int(np.prod(dims))
     TB = lambda X: linalg.partial_transpose(X, dims, [1])
     Tr = lambda X: np.trace(X, axis1=1, axis2=2).real[:, None, None]
@@ -286,21 +289,26 @@ def _ppt_prime_model(dims):
     S = m.var(n)
     C = m.var(n)
     D = m.var(n)
-    u = m.var(1)
     m.add_eq([(S, lambda X: X), (C, lambda X: -TB(X)), (D, TB)],
              np.zeros((n, n), dtype=complex))
-    m.add_eq([(C, Tr), (D, Tr), (u, lambda X: X)], np.ones((1, 1)))
+    m.add_eq([(C, Tr), (D, Tr)], np.ones((1, 1)))
     m.compile()
     return m, S
 
 
 def ppt_prime_lmo(G, dims, tol=1e-9):
     """argmin Tr{G sigma} over the PPT' spectrahedron. The program is built
-    once per dims; each call only sets its objective."""
+    once per dims; each call only sets its objective. It solves the
+    equality form Tr(C + D) = 1 of _ppt_prime_model and returns the zero
+    matrix when the solve's optimum is >= 0. This is exact: sigma = 0 is
+    in PPT' with Tr{G sigma} = 0, so it is a minimizer whenever the
+    optimum is not negative."""
     model, S = _ppt_prime_model(tuple(int(d) for d in dims))
     m = copy.copy(model)
     m.set_objective({S: G})
     sol = m.solve(tol=tol, label="PPT' linear oracle")
+    if sol.primal_value >= 0:
+        return np.zeros_like(sol.primal_blocks[S])
     return sol.primal_blocks[S]
 
 

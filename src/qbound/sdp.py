@@ -9,18 +9,22 @@ solver takes real data only: Model.compile writes Hermitian data in the
 real symmetric embedding H -> [[Re H, -Im H], [Im H, Re H]] of each block.
 
 The constraint side is prepared once per problem: the first solve
-presolves A and copies each size class's columns, and keeps both in a memo
-that later solves read. Model.compile builds A and b once until a variable
-or constraint is added, so the problems it compiles for different
-objectives share A, b and that memo. A problem's A and b must therefore
-not be mutated after construction.
+presolves A and copies the kept rows' columns once, in size-class order,
+as one (m, N) matrix F, and keeps it in a memo that later solves read.
+Model.compile builds A and b once until a variable or constraint is added,
+so the problems it compiles for different objectives share A, b and that
+memo. A problem's A and b must therefore not be mutated after
+construction.
 
-The iterates keep the blocks of one size as one (k, n, n) stack: each
+Each iterate X, Z, the dual residual and each direction is one flat vector
+in size-class order, which each class reads as a (k, n, n) view, so
+<A_i, V> for all i is one product with F and sum_i y_i A_i one more. Each
 iteration factors every X and Z block once, by one batched Cholesky and
 inverse per size class on the class's X and Z stacks together, and Z^{-1}
 and the step-length search reuse those factors; one batched eigvalsh per
-size class gives the primal and the dual step together. Sums across blocks
-are added in block order. A matrix is shifted only after its Cholesky
+size class gives the primal and the dual step together, and the Schur
+complement takes one batched product per class. Sums across blocks are
+added in size-class order. A matrix is shifted only after its Cholesky
 fails: a stack is then factored block by block, an X or Z block lifted by
 a multiple of the identity, and the Schur complement M solved by least
 squares on M + 1e-10 I.
@@ -142,28 +146,34 @@ def _size_classes(dims):
 def _prepare(p):
     """The constraint side of p, derived once and memoized in p._memo:
     (keep, inconsistent, layout), the presolve's kept rows and verdict, and
-    for a consistent program that keeps a row the (sizes, F, flat, pos,
-    eyes, normA) that solve iterates with, else None. Threads that both find
-    the memo empty derive equal values and use the one stored first."""
+    for a consistent program that keeps a row the (order, spans, F, Fc,
+    pos, starts, eye, normA) that solve iterates with, else None. Threads
+    that both find the memo empty derive equal values and use the one
+    stored first."""
     prep = p._memo.get("prepared")
     if prep is not None:
         return prep
     keep, inconsistent = _presolve(p.A, p.b)
     layout = None
     if not inconsistent and len(keep):
-        m, blocks = len(keep), p.blocks
-        # block b is entry j of size class c's (k, n, n) stack, (c, j) = pos[b]
+        blocks = p.blocks
         classes = _size_classes(blocks)
-        F = [p.A[np.ix_(keep, cols)] for _, _, cols in classes]  # by class
+        # the blocks in class order; class c is entries spans[c] = (o, k, n)
+        # of a flat vector, read as a (k, n, n) stack, block b is its entry
+        # pos[b], and starts holds each block's first entry, in class order
+        order = np.concatenate([i for _, i, _ in classes])
+        F = p.A[np.ix_(keep, np.concatenate([cols for _, _, cols in classes]))]
         sizes = [n for n, _, _ in classes]
+        offs = np.cumsum([0] + [len(cols) for _, _, cols in classes])
+        spans = [(int(offs[c]), len(i), n)
+                 for c, (n, i, _) in enumerate(classes)]
         pos = [(sizes.index(n), blocks[:i].count(n))
                for i, n in enumerate(blocks)]
-        flat = [F[c].reshape(m, -1, n * n)[:, j]
-                for (c, j), n in zip(pos, blocks)]
-        eyes = [np.broadcast_to(np.eye(n), (len(i), n, n))
-                for n, i, _ in classes]
-        normA = max(1.0, max(np.linalg.norm(Fb, axis=1).max() for Fb in flat))
-        layout = (sizes, F, flat, pos, eyes, normA)
+        starts = np.cumsum([0] + [blocks[bi] ** 2 for bi in order[:-1]])
+        eye = np.concatenate([np.eye(blocks[bi]).ravel() for bi in order])
+        normA = max(1.0, np.sqrt(np.add.reduceat(F * F, starts, 1).max()))
+        Fc = [F[:, o:o + k * n * n] for o, k, n in spans]  # views of F
+        layout = (order, spans, F, Fc, pos, starts, eye, normA)
     return p._memo.setdefault("prepared", (keep, inconsistent, layout))
 
 
@@ -222,26 +232,23 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         # programs never hit this, return the trivial point
         return SDPSolution(0.0, 0.0, [np.zeros((n, n)) for n in blocks],
                            y_all, 0.0, "optimal")
-    sizes, F, flat, pos, eyes, normA = layout
-    C = [np.stack([p.C[bi] for bi in i]) for _, i, _ in _size_classes(blocks)]
+    order, spans, F, Fc, pos, starts, eye, normA = layout
 
-    normC = max(1.0, max(np.linalg.norm(Cb) for Cc in C for Cb in Cc))
+    def views(v):
+        # the (k, n, n) stack of each size class in flat vector v
+        return [v[o:o + k * n * n].reshape(k, n, n) for o, k, n in spans]
+
+    def flat(stacks):
+        return np.concatenate([s.ravel() for s in stacks])
+
+    C = np.concatenate([p.C[bi].ravel() for bi in order])
+    normC = max(1.0, np.sqrt(np.add.reduceat(C * C, starts).max()))
     normb = max(1.0, np.abs(b).max())
     scale = max(10.0, np.sqrt(ntot), ntot * normb / normA)
-    X = [scale * I for I in eyes]
-    Z = [max(10.0, np.sqrt(ntot), normC, normA) * I for I in eyes]
+    X = scale * eye
+    Z = max(10.0, np.sqrt(ntot), normC, normA) * eye
     y = np.zeros(m)
-
-    def op_A(V):
-        # <A_i, V> = sum_jk (A_i)_jk V_kj per block, added in block order
-        return sum(Fb @ V[c][j].T.ravel() for Fb, (c, j) in zip(flat, pos))
-
-    def op_At(v):
-        return [(v @ Fc).reshape(-1, n, n) for Fc, n in zip(F, sizes)]
-
-    def inner(U, V):  # per-block sums, added in block order
-        s = [np.sum(u * v, axis=(1, 2)).tolist() for u, v in zip(U, V)]
-        return sum(s[c][j] for c, j in pos)
+    eyes = views(eye)
 
     def inv_factor(V):
         # inverse Cholesky factors of a stack, or block by block if one fails;
@@ -260,7 +267,7 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         # the largest a_p and a_d with X + a_p dX >= 0 and Z + a_d dZ >= 0,
         # from the inverse factors L of each size class's X and Z together
         wp = wd = 0.0
-        for Lc, dXc, dZc in zip(L, dX, dZ):
+        for Lc, dXc, dZc in zip(L, views(dX), views(dZ)):
             w = np.linalg.eigvalsh(Lc @ np.concatenate([dXc, dZc])
                                    @ Lc.transpose(0, 2, 1))[:, 0]
             wp, wd = min(wp, w[:len(dXc)].min()), min(wd, w[len(dXc):].min())
@@ -270,16 +277,16 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     best = (np.inf, 0, X, y)
     it = 0
     for it in range(1, max_iter + 1):
-        rp = b - op_A(X)
-        AtY = op_At(y)
-        Rd = [Cb - Ab - Zb for Cb, Ab, Zb in zip(C, AtY, Z)]
-        gap = inner(X, Z)
+        # X is symmetric, so <A_i, X> = sum_jk (A_i)_jk X_kj is F @ X
+        rp = b - F @ X
+        Rd = C - y @ F - Z
+        gap = X @ Z
         mu = gap / ntot
-        pobj = inner(C, X)
+        pobj = C @ X
         dobj = float(b @ y)
         relgap = gap / (1.0 + abs(pobj))
         rp_n = np.linalg.norm(rp) / (1.0 + np.linalg.norm(b))
-        rd_n = max(np.linalg.norm(R) for Rb in Rd for R in Rb) / normC
+        rd_n = np.sqrt(np.add.reduceat(Rd * Rd, starts).max()) / normC
         merit = max(relgap, rp_n, rd_n)
         if merit < best[0]:
             best = (merit, it, X, y)
@@ -292,16 +299,17 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         if it - best[1] >= STALL_WINDOW:
             break
 
+        Xs, Zs, Rds = views(X), views(Z), views(Rd)
         # per size class, the inverse factors of its X stack, then its Z stack
-        L = [inv_factor(np.concatenate([Xc, Zc])) for Xc, Zc in zip(X, Z)]
+        L = [inv_factor(np.concatenate([Xc, Zc])) for Xc, Zc in zip(Xs, Zs)]
         Zi = [Li.transpose(0, 2, 1) @ Li
-              for Li in (Lc[len(Xc):] for Lc, Xc in zip(L, X))]
+              for Li in (Lc[len(Xc):] for Lc, Xc in zip(L, Xs))]
 
-        # Schur complement M_ij = Tr(A_i X A_j Z^{-1}), added in block order
+        # Schur complement M_ij = Tr(A_i X A_j Z^{-1}), one product per class
         M = np.zeros((m, m))
-        for Fb, n, (c, j) in zip(flat, blocks, pos):
-            Vb = Zi[c][j][None] @ Fb.reshape(m, n, n) @ X[c][j][None]
-            M += np.transpose(Vb, (0, 2, 1)).reshape(m, -1) @ Fb.T
+        for Fb, Xc, Zic, (_, k, n) in zip(Fc, Xs, Zi, spans):
+            V = Zic[None] @ Fb.reshape(m, k, n, n) @ Xc[None]
+            M += np.transpose(V, (0, 1, 3, 2)).reshape(m, -1) @ Fb.T
         M = (M + M.T) / 2
         factor, info = lapack.dpotrf(M)
         if info < 0:
@@ -317,40 +325,41 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
             solve_M = lambda rhs: Vt.T @ ((U.T @ rhs) / s)
 
         def direction(Rc):
-            # the step for complementarity residual Rc (per size class)
-            T = [(Rcb - Xb @ Rdb) @ Zib
-                 for Rcb, Xb, Rdb, Zib in zip(Rc, X, Rd, Zi)]
-            dy = solve_M(rp - op_A(T))
-            dZ = [Rb - Ab for Rb, Ab in zip(Rd, op_At(dy))]
-            dX = [(Rcb - Xb @ dZb) @ Zib
-                  for Rcb, Xb, dZb, Zib in zip(Rc, X, dZ, Zi)]
-            return [(d + d.transpose(0, 2, 1)) / 2 for d in dX], dy, dZ
+            # the step for complementarity residual Rc (per size class); T is
+            # not symmetric, so <A_i, T> reads each class view transposed
+            T = [(Rcc - Xc @ Rdc) @ Zic
+                 for Rcc, Xc, Rdc, Zic in zip(Rc, Xs, Rds, Zi)]
+            dy = solve_M(rp - F @ flat(t.transpose(0, 2, 1) for t in T))
+            dZ = Rd - dy @ F
+            dX = [(Rcc - Xc @ dZc) @ Zic
+                  for Rcc, Xc, dZc, Zic in zip(Rc, Xs, views(dZ), Zi)]
+            return flat((d + d.transpose(0, 2, 1)) / 2 for d in dX), dy, dZ
 
         # predictor: Rc = -X Z
-        Rc0 = [-Xb @ Zb for Xb, Zb in zip(X, Z)]
+        Rc0 = [-Xc @ Zc for Xc, Zc in zip(Xs, Zs)]
         dXa, dya, dZa = direction(Rc0)
         ap, ad = (min(1.0, a) for a in max_steps(L, dXa, dZa))
-        mu_aff = inner([Xb + ap * d for Xb, d in zip(X, dXa)],
-                       [Zb + ad * d for Zb, d in zip(Z, dZa)]) / ntot
+        mu_aff = (X + ap * dXa) @ (Z + ad * dZa) / ntot
         sigma = min(1.0, max(0.0, (mu_aff / mu)) ** 3)
 
         # corrector: Rc = sigma mu I - X Z - dXa dZa
-        dX, dy, dZ = direction([R + sigma * mu * I - da @ dz
-                                for R, I, da, dz in zip(Rc0, eyes, dXa, dZa)])
+        dX, dy, dZ = direction([R + sigma * mu * I - da @ dz for R, I, da, dz
+                                in zip(Rc0, eyes, views(dXa), views(dZa))])
         ap, ad = (min(1.0, BOUNDARY_FRAC * a) for a in max_steps(L, dX, dZ))
         if ap < 1e-10 and ad < 1e-10:
             break
-        X = [Xb + ap * d for Xb, d in zip(X, dX)]
+        X = X + ap * dX
         y = y + ad * dy
-        Z = [Zb + ad * d for Zb, d in zip(Z, dZ)]
+        Z = Z + ad * dZ
 
     if status == "numerical_limit":
         _, _, X, y = best
-    pobj = inner(C, X)
+    pobj = C @ X
     dobj = float(b @ y)
-    X = [X[c][j] for c, j in pos]
+    Xs = views(X)
     y_all[keep] = y
-    return SDPSolution(pobj, dobj, X, y_all, abs(pobj - dobj), status, it)
+    return SDPSolution(pobj, dobj, [Xs[c][j] for c, j in pos], y_all,
+                       abs(pobj - dobj), status, it)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,16 @@ def test_erasure_empty_dimension_exit_code(capsys, cmd, d):
     assert "d >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_product_state_empty_dimension_exit_code(capsys, d):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["rains-state", "--state", "product", "--d", d])
+    assert e.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--d" in out.err
+
+
 @pytest.mark.parametrize("argv, option", [
     (["dynamics", "--t-max", "nan"], "--t-max"),
     (["dynamics", "--omega", "nan"], "--omega"),

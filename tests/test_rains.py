@@ -265,18 +265,57 @@ def _lmo_uncached(G, dims, tol=1e-9):
     S = m.var(n)
     C = m.var(n)
     D = m.var(n)
-    u = m.var(1)
     m.set_objective({S: G})
     m.add_eq([(S, lambda X: X), (C, lambda X: -TB(X)), (D, TB)],
              np.zeros((n, n), dtype=complex))
-    m.add_eq([(C, Tr), (D, Tr), (u, lambda X: X)], np.ones((1, 1)))
+    m.add_eq([(C, Tr), (D, Tr)], np.ones((1, 1)))
     sol = m.solve(tol=tol, label="PPT' linear oracle")
+    if sol.primal_value >= 0:
+        return np.zeros_like(sol.primal_blocks[S])
     return sol.primal_blocks[S]
 
 
 def _hermitian(n, rng):
     A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return (A + A.conj().T) / 2
+
+
+def _lmo_slack_form(G, dims, tol=1e-9):
+    """argmin Tr{G sigma} over PPT' with Tr(C + D) <= 1, an inequality
+    written with a 1 x 1 slack u, from a fresh sdp.Model."""
+    G = np.asarray(G, dtype=complex)
+    n = G.shape[0]
+    TB = lambda X: linalg.partial_transpose(X, dims, [1])
+    Tr = lambda X: np.trace(X, axis1=1, axis2=2).real[:, None, None]
+    m = sdp.Model()
+    S = m.var(n)
+    C = m.var(n)
+    D = m.var(n)
+    u = m.var(1)
+    m.set_objective({S: G})
+    m.add_eq([(S, lambda X: X), (C, lambda X: -TB(X)), (D, TB)],
+             np.zeros((n, n), dtype=complex))
+    m.add_eq([(C, Tr), (D, Tr), (u, lambda X: X)], np.ones((1, 1)))
+    return m.solve(tol=tol, label="PPT' slack form").primal_blocks[S]
+
+
+def test_ppt_prime_lmo_matches_slack_form():
+    # the equality form Tr(C + D) = 1 with its zero branch minimizes over
+    # the same set as the inequality form with a slack
+    rng = np.random.default_rng(20)
+    cases = [(_hermitian(4, rng), (2, 2)), (_hermitian(6, rng), (2, 3)),
+             (-qcore.max_ent_state(2), (2, 2))]
+    for G, dims in cases:
+        sigma = rains.ppt_prime_lmo(G, dims)
+        value = np.trace(G @ sigma).real
+        assert value == pytest.approx(
+            np.trace(G @ _lmo_slack_form(G, dims)).real, abs=1e-7)
+        assert rains.ppt_prime_member(sigma, dims, slack=1e-7)
+    for dims in ((2, 2), (2, 3)):
+        n = int(np.prod(dims))
+        sigma = rains.ppt_prime_lmo(np.eye(n), dims)
+        assert np.array_equal(sigma, np.zeros((n, n)))
+        assert np.trace(_lmo_slack_form(np.eye(n), dims)).real <= 1e-7
 
 
 def test_ppt_prime_lmo_compiles_once_per_dims(monkeypatch, rng):

@@ -247,6 +247,19 @@ def test_solve_factors_each_block_once_per_iteration(monkeypatch):
     assert len(calls["eigvalsh"]) == 2 * classes * factoring
 
 
+@pytest.mark.parametrize("dims, rows", [((2, 2), 17), ((3, 3), 82)])
+def test_ppt_prime_program_is_one_size_class(dims, rows):
+    # the PPT' oracle's program is three real blocks of one size, so every
+    # per-class step of an iteration runs once; the presolve keeps each row
+    n = 2 * int(np.prod(dims))
+    p = rains._ppt_prime_model(dims)[0].compile()
+    keep, inconsistent, layout = sdp._prepare(p)
+    assert p.blocks == [n, n, n] and len(p.A) == rows
+    assert not inconsistent and len(keep) == rows
+    spans = layout[1]
+    assert spans == [(0, 3, n)]
+
+
 def test_model_compiles_constraints_once():
     """set_objective alone keeps the compiled constraint side, shared with
     the solver's memo; adding a variable or constraint rebuilds it, and a
