@@ -47,9 +47,14 @@ def parse_grid(spec):
 
 
 def _fmt(x):
+    """One CSV field; quoted as in RFC 4180 when it holds a comma, a double
+    quote or a line break."""
     if isinstance(x, float):
         return "%.12g" % x
-    return str(x)
+    s = str(x)
+    if any(c in s for c in ',"\r\n'):
+        return '"%s"' % s.replace('"', '""')
+    return s
 
 
 def emit(args, meta, columns, rows):

@@ -54,17 +54,29 @@ def _sigma_fn(sigma, f, rho=None):
     return linalg.fn_on_support(w, V, f)
 
 
+def _relative_entropies(states, sigma, neg_entropies, base):
+    """
+    D(rho_x||sigma) for a (m, d, d) stack of states, from one
+    eigendecomposition of sigma and the states' -S(rho_x) = Tr rho_x log
+    rho_x. An entry is inf when its state has weight above 1e-10 outside
+    the support of sigma.
+    """
+    ws, Vs = np.linalg.eigh(sigma)
+    # weights of each rho_x on the eigenvectors of sigma
+    r = np.real(np.sum(Vs.conj() * (states @ Vs), axis=-2))
+    sup = ws > linalg.SUPPORT_CUT * max(abs(ws).max(), 1e-300)
+    # Tr rho_x log sigma on the support of sigma, from contiguous rows so
+    # that each sums pairwise as a single state's does
+    lr = np.ascontiguousarray(r[:, sup]) * _logfn(base)(ws[sup])
+    divs = neg_entropies - np.sum(lr, axis=1)
+    return np.where(r[:, ~sup].sum(axis=1) > 1e-10, INF, divs)
+
+
 def relative_entropy(rho, sigma, base='bits'):
     """D(rho||sigma) = Tr{rho [log rho - log sigma]}; inf on support violation."""
-    R, S = as_matrix(rho), as_matrix(sigma)
-    ws, Vs = np.linalg.eigh(S)
-    # weights of rho on the eigenvectors of sigma
-    r = np.real(np.sum(Vs.conj() * (R @ Vs), axis=0))
-    sup = ws > linalg.SUPPORT_CUT * max(abs(ws).max(), 1e-300)
-    if r[~sup].sum() > 1e-10:
-        return INF
-    # Tr rho log rho = -S(rho); Tr rho log sigma on the support of sigma
-    return float(-entropy(R, base) - np.sum(_logfn(base)(ws[sup]) * r[sup]))
+    R = as_matrix(rho)
+    return float(_relative_entropies(R[None], as_matrix(sigma),
+                                     -entropy(R, base), base)[0])
 
 
 def dmax(rho, sigma):

@@ -11,8 +11,8 @@ import numpy as np
 from scipy.stats import norm
 
 from . import linalg
-from .infomeasures import (cq_state, g_fn, holevo, mutual_information,
-                           coherent_information,
+from .infomeasures import (_relative_entropies, cq_state, entropy, g_fn,
+                           holevo, mutual_information, coherent_information,
                            conditional_mutual_information, relative_entropy,
                            rel_entropy_variance, sandwiched_objective,
                            SANDWICH_FLOOR)
@@ -140,29 +140,55 @@ def blahut_arimoto(states, tol=1e-10, kkt_tol=1e-8, max_iter=20000):
 
     Iterates are monotone nondecreasing; stops once successive Holevo
     values differ by less than tol and the KKT residual
-    max_x D(rho_x || rho_bar) - I is below kkt_tol.
+    max_x D(rho_x || rho_bar) - I is below kkt_tol. The states'
+    entropies are computed once; each iteration then makes one
+    eigendecomposition, of rho_bar, and gets every D(rho_x || rho_bar)
+    from it. When a weight p_x falls so low that rho_bar loses the
+    support of rho_x (a divergence becomes inf), the last iterate with
+    finite divergences is returned; as the capacity is at most its
+    Holevo value plus its KKT residual, it counts as converged when that
+    residual is below kkt_tol.
 
-    :return: dict with capacity (bits), optimal p, iterations.
+    :return: dict with capacity (bits), optimal p, iterations,
+        kkt_residual and converged (False when max_iter ran out first).
     """
-    states = [as_matrix(s) for s in states]
+    states = np.array([as_matrix(s) for s in states])
     m = len(states)
     if m == 0:
         raise ValueError("need at least one state")
+    neg_ent = -np.array([entropy(s) for s in states])
     p = np.full(m, 1.0 / m)
     prev = -np.inf
-    cap = 0.0
+    out = None
     for it in range(1, max_iter + 1):
         avg = sum(pi * s for pi, s in zip(p, states))
-        divs = np.array([relative_entropy(s, avg) for s in states])
+        divs = _relative_entropies(states, avg, neg_ent, 'bits')
+        if not np.isfinite(divs).all():
+            if out is None:
+                raise ArithmeticError("Blahut-Arimoto: infinite divergence "
+                                      "at the uniform prior")
+            out["converged"] = out["kkt_residual"] <= kkt_tol
+            break
         cap = float(np.dot(p, divs))
         resid = float(divs.max() - cap)
-        if abs(cap - prev) < tol and resid <= kkt_tol:
+        out = {"capacity": cap, "p": p, "iterations": it,
+               "kkt_residual": resid,
+               "converged": abs(cap - prev) < tol and resid <= kkt_tol}
+        if out["converged"]:
             break
         prev = cap
         w = p * np.exp2(divs - divs.max())
         p = w / w.sum()
-    return {"capacity": cap, "p": p, "iterations": it,
-            "kkt_residual": resid}
+    return out
+
+
+def _converged_blahut_arimoto(states):
+    """blahut_arimoto(states); ArithmeticError when it did not converge."""
+    ba = blahut_arimoto(states)
+    if not ba["converged"]:
+        raise ArithmeticError("Blahut-Arimoto did not converge: KKT residual "
+                              "%.3g" % ba["kkt_residual"])
+    return ba
 
 
 def fock_cutoff(N, tail=1e-12):
@@ -195,6 +221,8 @@ def thermal_cell_capacity(Ns, probs=None, tail=1e-12):
     Capacity of a cell of thermal ancilla states with the given mean
     photon numbers. With probs fixed, the Holevo quantity; otherwise
     Blahut-Arimoto over the prior.
+
+    :raises ArithmeticError: when Blahut-Arimoto does not converge.
     """
     Ns = [float(N) for N in Ns]
     if any(N < 0 for N in Ns):
@@ -203,7 +231,7 @@ def thermal_cell_capacity(Ns, probs=None, tail=1e-12):
     states = [thermal_state(N, cut) for N in Ns]
     if probs is not None:
         return float(holevo(probs, states))
-    return blahut_arimoto(states)["capacity"]
+    return _converged_blahut_arimoto(states)["capacity"]
 
 
 def second_order_bound(states, n, eps, probs=None):
@@ -211,12 +239,14 @@ def second_order_bound(states, n, eps, probs=None):
     I + sqrt(V/n) * Phi^{-1}(eps) per use, with I and V evaluated at
     the Blahut-Arimoto optimizer when no prior is supplied. The
     optimizer-set spread of V is approximated by this single point.
+
+    :raises ArithmeticError: when Blahut-Arimoto does not converge.
     """
     if n < 1 or not 0 < eps < 1:
         raise ValueError("require n >= 1 and eps in (0,1)")
     states = [as_matrix(s) for s in states]
     if probs is None:
-        probs = blahut_arimoto(states)["p"]
+        probs = _converged_blahut_arimoto(states)["p"]
     probs = np.asarray(probs, dtype=float)
     rho_xb = cq_state(probs, states)
     avg = sum(p * s for p, s in zip(probs, states))

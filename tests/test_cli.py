@@ -1,9 +1,12 @@
+import csv
+import functools
+import io
 import json
 
 import numpy as np
 import pytest
 
-from qbound import cli, sdp
+from qbound import cli, reading, sdp
 
 
 def run(capsys, *argv):
@@ -195,6 +198,24 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     diag = json.loads(err.strip().split("\n")[-1])
     assert diag["error"] == "numerical_failure"
     assert diag["subcommand"] == "capacity"
+
+
+def test_thermal_capacity_csv_quotes_photons(capsys):
+    code, out, _ = run(capsys, "capacity", "--cell", "thermal",
+                       "--photons", "0.1,2.0")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1] == ["photons", "value"]
+    assert rows[2] == ["0.1,2.0", "0.329790236312"]
+
+
+def test_unconverged_blahut_arimoto_exit_code(monkeypatch, capsys):
+    short = functools.partial(reading.blahut_arimoto, max_iter=3)
+    monkeypatch.setattr(reading, "blahut_arimoto", short)
+    code, out, err = run(capsys, "capacity", "--cell", "thermal",
+                         "--photons", "0.1,2.0")
+    assert code == 3 and out == ""
+    assert "Blahut-Arimoto" in json.loads(err)["detail"]
 
 
 def test_stalled_sdp_exit_code(monkeypatch, capsys):

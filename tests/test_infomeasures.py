@@ -37,6 +37,27 @@ def test_relative_entropy_support_violation():
     assert im.sandwiched_renyi(rho, sigma, 2.0) == math.inf
 
 
+def test_batched_relative_entropies_match_single_calls(rng):
+    sigma = rand_state(3, rng)
+    states = np.array([rand_state(3, rng) for _ in range(4)])
+    for base in ('bits', 'nats'):
+        neg = -np.array([im.entropy(s, base) for s in states])
+        divs = im._relative_entropies(states, sigma, neg, base)
+        for s, D in zip(states, divs):
+            assert D == pytest.approx(im.relative_entropy(s, sigma, base),
+                                      abs=1e-12)
+    # only the state with weight outside the support of sigma gets inf
+    sigma = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    states = np.array([np.diag(d).astype(complex) for d in
+                       ([0.7, 0.3, 0.0], [0.5, 0.4, 0.1], [0.2, 0.8, 0.0])])
+    neg = -np.array([im.entropy(s) for s in states])
+    divs = im._relative_entropies(states, sigma, neg, 'bits')
+    assert divs[1] == math.inf
+    assert np.isfinite(divs[[0, 2]]).all()
+    assert divs[0] == pytest.approx(im.relative_entropy(states[0], sigma),
+                                    abs=1e-12)
+
+
 def test_dmax_classical():
     rho = np.diag([0.8, 0.2]).astype(complex)
     sigma = np.diag([0.5, 0.5]).astype(complex)

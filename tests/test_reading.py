@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +126,84 @@ def test_blahut_arimoto_three_state_grid_oracle():
             best = max(best, im.holevo(p, states))
     assert out["capacity"] >= best - 1e-4
     assert out["capacity"] <= best + 1e-3
+
+
+def test_blahut_arimoto_reports_unconverged(monkeypatch):
+    # Bloch vectors of length 0.9, 0.8, 0.7 at azimuths 0, 2 pi/3, 4 pi/3
+    states = [r * bloch_state(np.pi / 2, 2 * np.pi * j / 3)
+              + (1 - r) * np.eye(2) / 2 for j, r in enumerate((0.9, 0.8, 0.7))]
+    assert reading.blahut_arimoto(states)["converged"]
+    out = reading.blahut_arimoto(states, max_iter=3)
+    assert out["iterations"] == 3 and not out["converged"]
+    # the callers that take the capacity or optimizer refuse such a result
+    short = functools.partial(reading.blahut_arimoto, max_iter=3)
+    monkeypatch.setattr(reading, "blahut_arimoto", short)
+    for call in (lambda: reading.thermal_cell_capacity([0.1, 2.0]),
+                 lambda: reading.second_order_bound(states, 10, 0.1)):
+        with pytest.raises(ArithmeticError,
+                           match="Blahut-Arimoto.*KKT residual"):
+            call()
+    # a fixed prior runs no Blahut-Arimoto
+    reading.second_order_bound(states, 10, 0.1, probs=[0.5, 0.25, 0.25])
+
+
+def test_blahut_arimoto_stops_at_last_finite_iterate():
+    """The third state's weight halves each iteration until rho_bar loses
+    its |2> support; the last finite iterate is returned, unwarned."""
+    states = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]),
+              np.diag([0.5, 0.499, 0.001])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = reading.blahut_arimoto(states)
+        b10 = reading.second_order_bound(states, 10, 0.1)
+        half = reading.second_order_bound(states, 50, 0.5)
+    assert out["converged"]
+    assert out["capacity"] == pytest.approx(1.0, abs=1e-9)
+    assert out["kkt_residual"] <= 1e-8
+    assert b10 < out["capacity"]
+    assert half == pytest.approx(out["capacity"], abs=1e-6)
+
+
+def _per_state_blahut_arimoto(states, tol=1e-10, kkt_tol=1e-8,
+                              max_iter=20000):
+    """The Blahut-Arimoto loop with one relative_entropy call per state."""
+    p = np.full(len(states), 1.0 / len(states))
+    prev = -np.inf
+    for it in range(1, max_iter + 1):
+        avg = sum(pi * s for pi, s in zip(p, states))
+        divs = np.array([im.relative_entropy(s, avg) for s in states])
+        cap = float(np.dot(p, divs))
+        if abs(cap - prev) < tol and divs.max() - cap <= kkt_tol:
+            break
+        prev = cap
+        w = p * np.exp2(divs - divs.max())
+        p = w / w.sum()
+    return cap, p, it
+
+
+def _random_bloch_ensemble(m, rng):
+    """m qubit states with random Bloch vectors of length 0.5 to 0.95."""
+    v = rng.standard_normal((m, 3))
+    v *= rng.uniform(0.5, 0.95, (m, 1)) / np.linalg.norm(v, axis=1,
+                                                         keepdims=True)
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                       [[1, 0], [0, -1]]])
+    return list((np.eye(2) + np.tensordot(v, paulis, 1)) / 2)
+
+
+def test_blahut_arimoto_matches_per_state_loop():
+    rng = np.random.default_rng(7)
+    cut = max(reading.fock_cutoff(N) for N in (0.1, 2.0))
+    ensembles = [_random_bloch_ensemble(m, rng) for m in (2, 3, 4)] + [
+        [qcore.random_density(3, rng).matrix for _ in range(3)],
+        [reading.thermal_state(N, cut) for N in (0.1, 2.0)]]
+    for states in ensembles:
+        cap, p, its = _per_state_blahut_arimoto(states)
+        out = reading.blahut_arimoto(states)
+        assert out["converged"]
+        assert out["iterations"] == its
+        assert out["capacity"] == pytest.approx(cap, abs=1e-12)
+        assert np.abs(out["p"] - p).max() <= 1e-10
 
 
 def test_fock_cutoff_definition():
