@@ -11,7 +11,6 @@ tests, and strong/weak-converse rate combinators.
 
 All values are in bits. PPT'(A:B) = {sigma >= 0, ||T_B sigma||_1 <= 1}.
 """
-import copy
 import functools
 
 import numpy as np
@@ -26,6 +25,31 @@ from .qcore import (BipartiteChannel, DensityOperator, KrausChannel,
 SIGMA_FLOOR = 1e-14  # relative eigenvalue floor of sigma in D(R||sigma)
 
 
+@functools.lru_cache(maxsize=None)
+def _program(build, *key):
+    """The sdp.Model that build(*key) returns, compiled, and its variable
+    indices: one per builder and structure key (the dimensions, and for the
+    bidirectional dual whether it is Klein-reduced), shared by every call
+    and every thread. Callers must not change it; each solves
+    model.with_data(...) with its own objective or right-hand sides, a
+    copy that shares the compiled constraint side."""
+    m, v = build(*key)
+    m.compile()
+    return m, v
+
+
+def _rmax_state_program(dims):
+    """rmax_state's program; rho is the right-hand side of constraint 0."""
+    n = int(np.prod(dims))
+    TB = lambda X: linalg.partial_transpose(X, dims, [1])
+    m = sdp.Model()
+    C = m.var(n)
+    D = m.var(n)
+    m.set_objective({C: np.eye(n, dtype=complex), D: np.eye(n, dtype=complex)})
+    m.add_psd([(C, TB), (D, lambda X: -TB(X))], np.zeros((n, n)))
+    return m, (C, D)
+
+
 def rmax_state(rho, dims, tol=1e-8):
     """
     Max-Rains relative entropy of a bipartite state, log2 of an SDP.
@@ -36,30 +60,19 @@ def rmax_state(rho, dims, tol=1e-8):
     :param dims: (dA, dB).
     :return: (value, {"C": C, "D": D}) with feasible witnesses.
     """
-    R = as_matrix(rho)
-    n = R.shape[0]
-    TB = lambda X: linalg.partial_transpose(X, dims, [1])
-    m = sdp.Model()
-    C = m.var(n)
-    D = m.var(n)
-    m.set_objective({C: np.eye(n, dtype=complex), D: np.eye(n, dtype=complex)})
-    m.add_psd([(C, TB), (D, lambda X: -TB(X))], R)
-    sol = m.solve(tol=tol, label="max-Rains state")
+    m, (C, D) = _program(_rmax_state_program, tuple(map(int, dims)))
+    sol = m.with_data(rhs={0: as_matrix(rho)}).solve(
+        tol=tol, label="max-Rains state")
     W = max(sol.primal_value, 1e-300)
     return float(np.log2(W)), {"C": sol.primal_blocks[C], "D": sol.primal_blocks[D],
                                "W": W, "gap": sol.gap}
 
 
-def _inf_norm_rains_sdp(J, dims, keep_idx, transpose_idx, tol, label,
-                        iso=(None, None)):
-    """min ||Tr_{traced}{V+Y}||_inf s.t. V,Y >= 0, T(V-Y) >= J; iso holds
-    the sdp.Model isometries of the full space and of the kept one.
-
-    :return: (value, {"V", "Y", "gap"}, (W1, W2)), W1 and W2 the Lagrange
-        multipliers of T(V-Y) >= J and of t 1 >= Tr_{traced}{V+Y}.
-    """
-    n = J.shape[0]
-    keep_idx = sorted(keep_idx)
+def _inf_norm_program(dims, keep_idx, transpose_idx, reduced):
+    """_inf_norm_rains_sdp's program; J is the right-hand side of
+    constraint 0."""
+    iso = _KLEIN_ISO if reduced else (None, None)
+    n = int(np.prod(dims))
     dk = int(np.prod([dims[k] for k in keep_idx]))
     T = lambda X: linalg.partial_transpose(X, dims, transpose_idx)
     PT = lambda X: linalg.partial_trace(X, dims, keep_idx)
@@ -68,11 +81,26 @@ def _inf_norm_rains_sdp(J, dims, keep_idx, transpose_idx, tol, label,
     V = m.var(n, iso=iso[0])
     Y = m.var(n, iso=iso[0])
     m.set_objective({t: np.ones((1, 1), dtype=complex)})
-    m.add_psd([(V, T), (Y, lambda X: -T(X))], J, iso=iso[0])
+    m.add_psd([(V, T), (Y, lambda X: -T(X))], np.zeros((n, n)), iso=iso[0])
     m.add_psd([(t, lambda X: X * np.eye(dk, dtype=complex)),
                (V, lambda X: -PT(X)), (Y, lambda X: -PT(X))],
               np.zeros((dk, dk), dtype=complex), iso=iso[1])
-    sol = m.solve(tol=tol, label=label)
+    return m, (V, Y)
+
+
+def _inf_norm_rains_sdp(J, dims, keep_idx, transpose_idx, tol, label,
+                        reduced=False):
+    """min ||Tr_{traced}{V+Y}||_inf s.t. V,Y >= 0, T(V-Y) >= J; reduced
+    builds it with the sdp.Model isometries _KLEIN_ISO of the full space
+    and of the kept one (see _bidirectional_sdps).
+
+    :return: (value, {"V", "Y", "gap"}, (W1, W2)), W1 and W2 the Lagrange
+        multipliers of T(V-Y) >= J and of t 1 >= Tr_{traced}{V+Y}.
+    """
+    m, (V, Y) = _program(_inf_norm_program, tuple(map(int, dims)),
+                         tuple(sorted(keep_idx)), tuple(transpose_idx),
+                         reduced)
+    sol = m.with_data(rhs={0: J}).solve(tol=tol, label=label)
     return (sol.primal_value, {"V": sol.primal_blocks[V],
                                "Y": sol.primal_blocks[Y], "gap": sol.gap},
             sol.multipliers)
@@ -199,7 +227,7 @@ def rmax_bidirectional(N, tol=1e-9):
     J, dims = bidirectional_choi(Nc)
     if _klein_residual(J) > 1e-12:
         return _rmax_bidirectional_full(N, tol)
-    out = _bidirectional_sdps(J, dims, tol, iso=_KLEIN_ISO)
+    out = _bidirectional_sdps(J, dims, tol, reduced=True)
     if frame is not None:
         # J = W Jc W^dag with W = L_in^T (x) L_out. X turns with W, and V, Y
         # with W~ = (Y on B and L_B) W (Y on B and L_B)^dag, because
@@ -225,7 +253,7 @@ def _rmax_bidirectional_full(N, tol=1e-9):
     return _bidirectional_sdps(J, dims, tol)
 
 
-def _bidirectional_sdps(J, dims, tol, iso=(None, None)):
+def _bidirectional_sdps(J, dims, tol, reduced=False):
     """
     Both bidirectional SDPs of the Choi operator J on (L_A, A, B, L_B),
     from one solve of the dual. With T = T_{B L_B}, the dual's Lagrangian
@@ -235,23 +263,35 @@ def _bidirectional_sdps(J, dims, tol, iso=(None, None)):
     with equality at the optimum. Those constraints are homogeneous in
     (X, rho), so both are divided by Tr{rho} to make it 1 exactly.
 
-    iso = (Q, q) holds sdp.Model isometries of the full space and of
-    (L_A, L_B): every variable lives in the blocks of its space, and so does
-    every operator inequality. This is exact when J commutes with a group
-    whose isotypic blocks these are, and T_{B L_B}, Tr_AB and
-    rho -> rho (x) 1_AB carry the group's action on one space to its action
-    on the other, as for the Klein group: an optimal point may then be
-    averaged over the group.
+    reduced builds it with _KLEIN_ISO = (Q, q), sdp.Model isometries of
+    the full space and of (L_A, L_B): every variable lives in the blocks of
+    its space, and so does every operator inequality. This is exact when J
+    commutes with a group whose isotypic blocks these are, and T_{B L_B},
+    Tr_AB and rho -> rho (x) 1_AB carry the group's action on one space to
+    its action on the other, as for the Klein group: an optimal point may
+    then be averaged over the group.
     """
     dual, wit, (X, rho) = _inf_norm_rains_sdp(
         J, dims, keep_idx=[0, 3], transpose_idx=[2, 3], tol=tol,
-        label="bidirectional dual", iso=iso)
+        label="bidirectional dual", reduced=reduced)
     scale = np.trace(rho).real
     X, rho = X / scale, rho / scale
     primal = float(np.vdot(J, X).real)
     return {"value": float(np.log2(max((primal + dual) / 2, 1e-300))),
             "gamma_primal": primal, "gamma_dual": dual,
             "gap": abs(primal - dual), "witness": wit, "X": X, "rho": rho}
+
+
+def _emax_ppt_program(dims):
+    """emax_ppt's program; rho is the right-hand side of constraint 0."""
+    n = int(np.prod(dims))
+    TB = lambda X: linalg.partial_transpose(X, dims, [1])
+    m = sdp.Model()
+    S = m.var(n)
+    m.set_objective({S: np.eye(n, dtype=complex)})
+    m.add_psd([(S, lambda X: X)], np.zeros((n, n)))
+    m.add_psd([(S, TB)], np.zeros((n, n), dtype=complex))
+    return m, S
 
 
 def emax_ppt(rho, dims, tol=1e-8):
@@ -261,27 +301,19 @@ def emax_ppt(rho, dims, tol=1e-8):
     minimize log2 Tr{sigma''} s.t. sigma'' >= rho, sigma'' >= 0,
     T_B sigma'' >= 0. Lower-bounds the SEP-based quantity.
     """
-    R = as_matrix(rho)
-    n = R.shape[0]
-    TB = lambda X: linalg.partial_transpose(X, dims, [1])
-    m = sdp.Model()
-    S = m.var(n)
-    m.set_objective({S: np.eye(n, dtype=complex)})
-    m.add_psd([(S, lambda X: X)], R)
-    m.add_psd([(S, TB)], np.zeros((n, n), dtype=complex))
-    sol = m.solve(tol=tol, label="emax_ppt")
+    m, _ = _program(_emax_ppt_program, tuple(map(int, dims)))
+    sol = m.with_data(rhs={0: as_matrix(rho)}).solve(tol=tol,
+                                                     label="emax_ppt")
     return float(np.log2(max(sol.primal_value, 1e-300)))
 
 
-@functools.lru_cache(maxsize=None)
-def _ppt_prime_model(dims):
-    """The PPT' linear oracle's program for dims, with its constraint side
-    compiled, and the index of its variable sigma: sigma = T_B(C - D) with
-    C, D >= 0 and Tr(C + D) = 1, an equality. Its feasible sigma are all of
-    PPT': for T_B sigma = P - N, P and N its positive and negative parts,
-    C = P + e 1 and D = N + e 1 with e = (1 - Tr(P + N)) / 2n >= 0 meet
-    the equality. Callers must not mutate it: ppt_prime_lmo sets each
-    objective on a shallow copy, which shares the compiled constraints."""
+def _ppt_prime_program(dims):
+    """The PPT' linear oracle's program for dims, and the index of its
+    variable sigma: sigma = T_B(C - D) with C, D >= 0 and Tr(C + D) = 1, an
+    equality. Its feasible sigma are all of PPT': for T_B sigma = P - N, P
+    and N its positive and negative parts, C = P + e 1 and D = N + e 1 with
+    e = (1 - Tr(P + N)) / 2n >= 0 meet the equality. G is the objective of
+    sigma."""
     n = int(np.prod(dims))
     TB = lambda X: linalg.partial_transpose(X, dims, [1])
     Tr = lambda X: np.trace(X, axis1=1, axis2=2).real[:, None, None]
@@ -292,21 +324,18 @@ def _ppt_prime_model(dims):
     m.add_eq([(S, lambda X: X), (C, lambda X: -TB(X)), (D, TB)],
              np.zeros((n, n), dtype=complex))
     m.add_eq([(C, Tr), (D, Tr)], np.ones((1, 1)))
-    m.compile()
     return m, S
 
 
 def ppt_prime_lmo(G, dims, tol=1e-9):
-    """argmin Tr{G sigma} over the PPT' spectrahedron. The program is built
-    once per dims; each call only sets its objective. It solves the
-    equality form Tr(C + D) = 1 of _ppt_prime_model and returns the zero
+    """argmin Tr{G sigma} over the PPT' spectrahedron. It solves the
+    equality form Tr(C + D) = 1 of _ppt_prime_program and returns the zero
     matrix when the solve's optimum is >= 0. This is exact: sigma = 0 is
     in PPT' with Tr{G sigma} = 0, so it is a minimizer whenever the
     optimum is not negative."""
-    model, S = _ppt_prime_model(tuple(int(d) for d in dims))
-    m = copy.copy(model)
-    m.set_objective({S: G})
-    sol = m.solve(tol=tol, label="PPT' linear oracle")
+    m, S = _program(_ppt_prime_program, tuple(map(int, dims)))
+    sol = m.with_data(objective={S: G}).solve(tol=tol,
+                                              label="PPT' linear oracle")
     if sol.primal_value >= 0:
         return np.zeros_like(sol.primal_blocks[S])
     return sol.primal_blocks[S]

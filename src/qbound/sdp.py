@@ -8,13 +8,16 @@ order; Model.compile writes it and the presolve reads it as it is. The
 solver takes real data only: Model.compile writes Hermitian data in the
 real symmetric embedding H -> [[Re H, -Im H], [Im H, Re H]] of each block.
 
-The constraint side is prepared once per problem: the first solve
-presolves A and copies the kept rows' columns once, in size-class order,
-as one (m, N) matrix F, and keeps it in a memo that later solves read.
-Model.compile builds A and b once until a variable or constraint is added,
-so the problems it compiles for different objectives share A, b and that
-memo. A problem's A and b must therefore not be mutated after
-construction.
+The constraint side is prepared once per constraint matrix: the first
+solve presolves A and copies the kept rows' columns once, in size-class
+order, as one (m, N) matrix F, and keeps it in a memo that later solves
+read. The memo is a function of the blocks and A alone; the objective C
+and the right-hand sides b are read on each solve, which also checks b
+against the rows the presolve dropped. Model.compile builds A once until a
+variable or constraint is added, and Model.with_data copies a model with a
+new objective or new right-hand sides, so the problems of one model
+structure share A and that memo. A problem's A must therefore not be
+mutated after construction.
 
 Each iterate X, Z, the dual residual and each direction is one flat vector
 in size-class order, which each class reads as a (k, n, n) view, so
@@ -56,6 +59,7 @@ status is optimal, or numerical_limit with gap <= max(100 tol, 1e-7),
 and raises ArithmeticError("<label> SDP failed: <status> (gap <g>)")
 otherwise. Callers read values, never the status.
 """
+import copy
 import functools
 
 import numpy as np
@@ -77,10 +81,10 @@ class SDPProblem:
     b: right-hand sides.
     Complex A or C raises ValueError; Model.compile embeds Hermitian data.
 
-    The constraint side (blocks, A, b) is prepared on the first solve and
-    the result memoized with the problem, shared by every problem
-    Model.compile returns for the same constraints; A and b must not be
-    mutated after construction.
+    The constraint side (blocks, A) is prepared on the first solve and the
+    result memoized with the problem, shared by every problem that
+    Model.compile and Model.with_data return for the same structure; C and
+    b are per solve. A must not be mutated after construction.
     """
 
     def __init__(self, blocks, C, A, b):
@@ -144,18 +148,20 @@ def _size_classes(dims):
 
 
 def _prepare(p):
-    """The constraint side of p, derived once and memoized in p._memo:
-    (keep, inconsistent, layout), the presolve's kept rows and verdict, and
-    for a consistent program that keeps a row the (order, spans, F, Fc,
-    pos, starts, eye, normA) that solve iterates with, else None. Threads
+    """The constraint side of p, derived from its blocks and A once and
+    memoized in p._memo: (keep, inconsistent, layout), the presolve's kept
+    rows and its test of b (None when it keeps every row; see _presolve),
+    and for a program that keeps a row the (order, spans, F, Fc, pos,
+    starts, eye, normA) that solve iterates with, else None. Nothing in it
+    reads b or C, so problems that differ only there may share it. Threads
     that both find the memo empty derive equal values and use the one
     stored first."""
     prep = p._memo.get("prepared")
     if prep is not None:
         return prep
-    keep, inconsistent = _presolve(p.A, p.b)
+    keep, inconsistent = _presolve(p.A)
     layout = None
-    if not inconsistent and len(keep):
+    if len(keep):
         blocks = p.blocks
         classes = _size_classes(blocks)
         # the blocks in class order; class c is entries spans[c] = (o, k, n)
@@ -177,16 +183,21 @@ def _prepare(p):
     return p._memo.setdefault("prepared", (keep, inconsistent, layout))
 
 
-def _presolve(A, b):
-    """Drop linearly dependent constraint rows; detect inconsistency.
+def _presolve(A):
+    """Drop linearly dependent constraint rows.
 
     LAPACK's pivoted Cholesky (?pstrf) reveals the rank of the Gram matrix
     A A^T of the rows, scaled to unit diagonal so that pivoting keeps the
     rows farthest from the span of those already kept, not the longest. A
     pivot at or below m * eps is rounding, so the rows left are dependent;
     they must agree with the kept ones on their right-hand sides.
+
+    :return: (keep, inconsistent): the kept rows in order, and None when
+        every row is kept, else the test inconsistent(b), true when the
+        dropped rows' right-hand sides in b differ from those the kept rows
+        predict by more than 1e-7 max(1, max|b|).
     """
-    m = len(b)
+    m = len(A)
     G = A @ A.T
     d = np.sqrt(G.diagonal())
     d[d == 0] = 1.0
@@ -195,12 +206,15 @@ def _presolve(A, b):
     if info < 0:
         raise ValueError("dpstrf: illegal argument %d" % -info)
     keep, dropped = piv[:rank] - 1, piv[rank:] - 1
-    inconsistent = False
+    inconsistent = None
     if len(dropped):
-        coef = cho_solve((factor[:rank, :rank], False), b[keep] / d[keep])
-        pred = d[dropped] * (G[np.ix_(dropped, keep)] @ coef)
-        inconsistent = bool(np.any(np.abs(pred - b[dropped])
-                                   > 1e-7 * max(1.0, np.abs(b).max())))
+        L, G_dk = factor[:rank, :rank], G[np.ix_(dropped, keep)]
+
+        def inconsistent(b):
+            coef = cho_solve((L, False), b[keep] / d[keep])
+            pred = d[dropped] * (G_dk @ coef)
+            return bool(np.any(np.abs(pred - b[dropped])
+                               > 1e-7 * max(1.0, np.abs(b).max())))
     return np.sort(keep), inconsistent
 
 
@@ -223,7 +237,7 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         raise ValueError("total block dimension too large")
     keep, inconsistent, layout = _prepare(p)
     y_all = np.zeros(len(p.A))
-    if inconsistent:
+    if inconsistent is not None and inconsistent(p.b):
         return SDPSolution(np.inf, -np.inf, None, y_all, np.inf, "infeasible")
     b = p.b[keep]
     m, ntot = len(b), sum(blocks)
@@ -404,6 +418,13 @@ def _embedded_basis(n):
     return basis
 
 
+def _out_basis(out, dims):
+    """The conjugated Hermitian basis of a constraint's output blocks, each
+    lifted to full size by its isometry in out, one flattened row each."""
+    return np.concatenate([_lift(Q, hermitian_basis(d)).reshape(d * d, -1)
+                           for Q, d in zip(out, dims)]).conj()
+
+
 def _lift(Q, B):
     """Q B Q^dag for an isometry Q (B itself for Q = None); B may be a
     stack of matrices."""
@@ -438,9 +459,12 @@ class Model:
     of output block j, H_l the hermitian_basis element of the row. The
     multiplier of an add_psd is that inequality's, so it is PSD, and
     sum over constraints of Re Tr{G W} is the dual value.
-    compile builds the constraint side once, until var, add_eq or add_psd
-    is called; set_objective alone only changes the objective, so solves
-    for many objectives share one prepared constraint side.
+    compile builds the constraint side (A and the solver's memo) once,
+    until var, add_eq or add_psd is called. The objective and the
+    right-hand sides are per call: set_objective only changes the
+    objective, and with_data returns a copy with a new objective or new
+    right-hand sides G, so solves for many data share one prepared
+    constraint side and the model built once is never changed.
     """
 
     def __init__(self):
@@ -481,18 +505,47 @@ class Model:
         self._eqs.append((list(terms) + [(s, None)], G, self._vars[s][0]))
         return s
 
+    def with_data(self, objective=None, rhs=None):
+        """A copy of the model with new data: the objective (as
+        set_objective takes it) when given, and the right-hand side G of
+        each constraint in rhs = {index: G}, constraints indexed in the
+        order add_eq and add_psd were called. The copy shares this model's
+        compiled A and memo, and given rhs it gets its own b, written as
+        compile writes it, so it compiles to the program of a model built
+        with that data. This model is not changed (its constraint side is
+        compiled first if it has none), so threads may share it."""
+        new = copy.copy(self)
+        new._vars, new._sizes = list(self._vars), list(self._sizes)
+        new._eqs = list(self._eqs)
+        if objective is not None:
+            new.set_objective(objective)
+        for k, G in (rhs or {}).items():
+            terms, G0, out = new._eqs[k]
+            G = np.asarray(G, dtype=complex)
+            if G.shape != G0.shape:
+                raise ValueError("right-hand side shape mismatch")
+            new._eqs[k] = (terms, G, out)
+        A, b, memo = self._constraint_side()
+        new._compiled = (A, new._rhs() if rhs else b, memo)
+        return new
+
     def compile(self):
         """The real SDPProblem of the model, blocks of dimension 2n for the
         variables' blocks of dimension n; its A, b and memo are those of the
         last compile when no variable or constraint was added since."""
         C = [_embed(self._obj[bi]) / 2 if bi in self._obj
              else np.zeros((2 * n, 2 * n)) for bi, n in enumerate(self._sizes)]
-        if self._compiled is None:
-            self._compiled = self._constraints() + ({},)
-        A, b, memo = self._compiled
+        A, b, memo = self._constraint_side()
         p = SDPProblem([2 * n for n in self._sizes], C, A, b)
         p._memo = memo
         return p
+
+    def _constraint_side(self):
+        """(A, b, memo) of the constraints, built once until a variable or
+        constraint is added."""
+        if self._compiled is None:
+            self._compiled = (self._constraints(), self._rhs(), {})
+        return self._compiled
 
     def _out_dims(self):
         """The dimensions of each constraint's output blocks; a constraint
@@ -500,8 +553,15 @@ class Model:
         return [[G.shape[0] if Q is None else Q.shape[1] for Q in out]
                 for _, G, out in self._eqs]
 
+    def _rhs(self):
+        """b of the constraints: each G on its constraint's rows, doubled
+        for the real program (empty without constraints)."""
+        return np.concatenate([np.zeros(0)] + [
+            2 * (_out_basis(out, dims) @ G.ravel()).real
+            for (_, G, out), dims in zip(self._eqs, self._out_dims())])
+
     def _constraints(self):
-        """(A, b) of the constraints, in SDPProblem's layout, each block's
+        """A of the constraints, in SDPProblem's layout, each block's
         columns in the real embedding."""
         outs = self._out_dims()
         m = sum(d * d for dims in outs for d in dims)
@@ -509,13 +569,9 @@ class Model:
         A = np.zeros((m, sum(widths)))
         # each block's column range, as views: writes land in A
         cols = np.split(A, np.cumsum(widths)[:-1], 1)
-        b = np.zeros(m)
         r0 = 0
-        for (terms, G, out), dims in zip(self._eqs, outs):
-            # conjugated output basis, each block's lifted to full size
-            out_flat = np.concatenate([
-                _lift(Q, hermitian_basis(d)).reshape(d * d, -1)
-                for Q, d in zip(out, dims)]).conj()
+        for (terms, _, out), dims in zip(self._eqs, outs):
+            out_flat = _out_basis(out, dims)
             r1 = r0 + len(out_flat)
             for v, fn in terms:
                 iso, first = self._vars[v]
@@ -531,9 +587,8 @@ class Model:
                     imgs = fn(_lift(Q, hermitian_basis(n)))
                     F = (out_flat @ imgs.reshape(n * n, -1).T).real
                     cols[bi][r0:r1] += F @ _embedded_basis(n)
-            b[r0:r1] = 2 * (out_flat @ G.ravel()).real
             r0 = r1
-        return A, b
+        return A
 
     def solve(self, tol=DEFAULT_TOL, max_iter=MAX_ITER, label="model"):
         """Compile and solve; return the solution if it counts (see the

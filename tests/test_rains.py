@@ -318,45 +318,99 @@ def test_ppt_prime_lmo_matches_slack_form():
         assert np.trace(_lmo_slack_form(np.eye(n), dims)).real <= 1e-7
 
 
-def test_ppt_prime_lmo_compiles_once_per_dims(monkeypatch, rng):
-    # only the first call for a dims evaluates the maps; a shared constraint
-    # side must leave every output bit for bit that of a fresh model
-    rains._ppt_prime_model.cache_clear()
-    calls = []
-    transpose = linalg.partial_transpose
+def _random_state(n, seed):
+    return qcore.random_density(n, np.random.default_rng(seed)).matrix
 
-    def counted(*args):
-        calls.append(args)
-        return transpose(*args)
-    monkeypatch.setattr(linalg, "partial_transpose", counted)
-    G1, G2 = _hermitian(4, rng), _hermitian(4, rng)
+
+_BUILDERS = {  # name: (call, its two inputs)
+    "ppt_prime_lmo": (lambda G: rains.ppt_prime_lmo(G, (2, 2)),
+                      [_hermitian(4, np.random.default_rng(seed))
+                       for seed in range(2)]),
+    "rmax_state": (lambda R: rains.rmax_state(R, (2, 2)),
+                   [_random_state(4, seed) for seed in range(2)]),
+    "emax_ppt": (lambda R: rains.emax_ppt(R, (2, 2)),
+                 [_random_state(4, seed) for seed in range(2)]),
+    "rmax_channel": (rains.rmax_channel,
+                     [qcore.depolarizing(2, 0.3), qcore.dephasing(0.7)]),
+    "rmax_bidirectional[reduced]": (rains.rmax_bidirectional,
+                                    [qcore.partial_swap(0.3), qcore.cnot()]),
+    "rmax_bidirectional[full]": (
+        rains.rmax_bidirectional,
+        [qcore.swap_then_collective_dephasing(0.3, 1.1),
+         qcore.swap_then_collective_dephasing(0.6, 0.4)]),
+}
+
+
+def _same(a, b):
+    """Bit-for-bit equality of nested dicts, tuples and arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("name", list(_BUILDERS))
+def test_builders_compile_once_per_structure(monkeypatch, name):
+    # only the first call for a structure evaluates the maps; a shared
+    # constraint side must leave every output bit for bit that of a model
+    # built fresh for each call, and the cached model as it was built
+    call, (x1, x2) = _BUILDERS[name]
+    program = rains._program
+    program.cache_clear()
+    calls, keys = [], []
+    for fn in ("partial_transpose", "partial_trace"):
+        def counted(*args, fn=getattr(linalg, fn)):
+            calls.append(args)
+            return fn(*args)
+        monkeypatch.setattr(linalg, fn, counted)
+
+    def recorded(build, *key):
+        keys.append((build, key))
+        return program(build, *key)
+    monkeypatch.setattr(rains, "_program", recorded)
     out, counts = [], []
-    for G in (G1, G2, G1):
-        out.append(rains.ppt_prime_lmo(G, (2, 2)))
+    for x in (x1, x2, x1):
+        out.append(call(x))
         counts.append(len(calls))
     assert counts[0] > 0 and counts[2] == counts[1] == counts[0]
-    assert np.array_equal(out[0], out[2])
-    # each call sets its objective on a copy, never on the cached model
-    assert rains._ppt_prime_model((2, 2))[0]._obj == {}
-    monkeypatch.undo()
-    for G, sigma in zip((G1, G2, G1), out):
-        assert np.array_equal(sigma, _lmo_uncached(G, (2, 2)))
+    assert len(set(keys)) == 1 and _same(out[0], out[2])
+    # the cached model still compiles to the program its builder builds
+    build, key = keys[0]
+    cached, fresh = program(build, *key)[0].compile(), build(*key)[0].compile()
+    assert np.array_equal(cached.b, fresh.b)
+    assert all(np.array_equal(a, c) for a, c in zip(cached.C, fresh.C))
+    monkeypatch.setattr(rains, "_program", program.__wrapped__)
+    for x, o in zip((x1, x2, x1), out):
+        assert _same(o, call(x))
+    if name == "ppt_prime_lmo":
+        for G, sigma in zip((x1, x2, x1), out):
+            assert np.array_equal(sigma, _lmo_uncached(G, (2, 2)))
 
 
-def test_ppt_prime_lmo_thread_safe():
+_THREADED = {  # name in _BUILDERS: its inputs
+    "ppt_prime_lmo": [_hermitian(4, np.random.default_rng(seed))
+                      for seed in range(8)],
+    "rmax_state": [_random_state(4, seed) for seed in range(8)],
+    "rmax_bidirectional[reduced]": [qcore.partial_swap(p)
+                                    for p in np.linspace(0.05, 0.95, 8)],
+}
+
+
+@pytest.mark.parametrize("name", list(_THREADED))
+def test_builders_thread_safe(name):
     # worker threads share the cached program, from a cold cache on
-    Gs = [_hermitian(4, np.random.default_rng(seed)) for seed in range(8)]
-    rains._ppt_prime_model.cache_clear()
+    call, inputs = _BUILDERS[name][0], _THREADED[name]
+    rains._program.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            threaded = list(pool.map(
-                lambda G: rains.ppt_prime_lmo(G, (2, 2)), Gs, timeout=120))
+            threaded = list(pool.map(call, inputs, timeout=120))
     finally:
         sys.setswitchinterval(interval)
-    serial = [rains.ppt_prime_lmo(G, (2, 2)) for G in Gs]
-    assert all(np.array_equal(a, b) for a, b in zip(threaded, serial))
+    serial = [call(x) for x in inputs]
+    assert all(_same(a, b) for a, b in zip(threaded, serial))
 
 
 def test_rains_relative_entropy_values(rng):

@@ -79,6 +79,60 @@ def test_presolve_drops_dependent_rows():
     assert abs(sol.primal_value - 1.0) < 1e-7
 
 
+def test_presolve_memo_shared_across_right_hand_sides():
+    # the memo holds the presolve's kept rows, not its verdict on one b: a
+    # second right-hand side that contradicts a dropped row is caught
+    tr = lambda X: np.trace(X, axis1=1, axis2=2)[:, None, None]
+    m = sdp.Model()
+    X = m.var(2)
+    m.set_objective({X: np.eye(2)})
+    m.add_eq([(X, tr)], np.ones((1, 1)))
+    m.add_eq([(X, lambda X: 2 * tr(X))], 2 * np.ones((1, 1)))
+    m.add_eq([(X, lambda X: X[:, :1, :1])], np.full((1, 1), 0.25))
+    p = m.with_data(rhs={1: 2 * np.ones((1, 1))}).compile()
+    q = m.with_data(rhs={1: 3 * np.ones((1, 1))}).compile()
+    assert q.A is p.A and q._memo is p._memo and p._memo == {}
+    sol = sdp.solve(p)
+    assert sol.status == "optimal" and len(sdp._prepare(p)[0]) == 2
+    assert abs(sol.primal_value - 1.0) < 1e-7
+    assert sdp.solve(q).status == "infeasible"
+    assert q._memo is p._memo and sdp.solve(p).status == "optimal"
+
+
+def test_with_data_compiles_as_a_fresh_model():
+    """with_data's copy compiles to the program of a model built with its
+    data, sharing A and the memo; the model it copies is left as it was."""
+    TB = lambda X: linalg.partial_transpose(X, (2, 2), [1])
+    Q = qcore.isotypic_blocks([np.kron(P, P)
+                               for P in qcore.hw_group(2).unitaries])
+
+    def build(C, R):
+        m = sdp.Model()
+        t, V = m.var(1), m.var(4, iso=Q)
+        m.set_objective({t: np.ones((1, 1)), V: C})
+        m.add_psd([(V, TB)], R, iso=Q)
+        m.add_psd([(t, lambda X: X * np.eye(4)), (V, lambda X: -X)],
+                  np.zeros((4, 4)))
+        return m
+
+    C1, R1 = np.eye(4), np.zeros((4, 4))
+    C2, R2 = np.diag([1.0, 2.0, 3.0, 4.0]), qcore.max_ent_state(2)
+    base = build(C1, R1)
+    p0 = base.compile()
+    p = base.with_data(objective={0: np.ones((1, 1)), 1: C2},
+                       rhs={0: R2}).compile()
+    ref = build(C2, R2).compile()
+    assert p.A is p0.A and p._memo is p0._memo and p.b is not p0.b
+    assert p.blocks == ref.blocks and np.array_equal(p.A, ref.A)
+    assert np.array_equal(p.b, ref.b) and not np.array_equal(p.b, p0.b)
+    assert all(np.array_equal(a, c) for a, c in zip(p.C, ref.C))
+    again = base.compile()
+    assert again.b is p0.b and np.array_equal(again.b, np.zeros(len(p0.b)))
+    assert all(np.array_equal(a, c) for a, c in zip(again.C, p0.C))
+    with pytest.raises(ValueError, match="right-hand side shape"):
+        base.with_data(rhs={1: np.zeros((2, 2))})
+
+
 def test_presolve_detects_inconsistency():
     p = sdp.SDPProblem(
         blocks=[2],
@@ -108,8 +162,8 @@ def test_presolve_blocked_rank_reveal(rng):
 
     b = np.einsum("kij,ji->k", rows, X0)
     full = problem(rows[order], b[order])
-    keep, inconsistent = sdp._presolve(full.A, full.b)
-    assert len(keep) == 80 and not inconsistent
+    keep, inconsistent = sdp._presolve(full.A)
+    assert len(keep) == 80 and not inconsistent(full.b)
     sol, ref = sdp.solve(full), sdp.solve(problem(rows[:80], b[:80]))
     assert sol.status == ref.status == "optimal"
     assert abs(sol.primal_value - ref.primal_value) <= 1e-6
@@ -252,10 +306,10 @@ def test_ppt_prime_program_is_one_size_class(dims, rows):
     # the PPT' oracle's program is three real blocks of one size, so every
     # per-class step of an iteration runs once; the presolve keeps each row
     n = 2 * int(np.prod(dims))
-    p = rains._ppt_prime_model(dims)[0].compile()
+    p = rains._program(rains._ppt_prime_program, dims)[0].compile()
     keep, inconsistent, layout = sdp._prepare(p)
     assert p.blocks == [n, n, n] and len(p.A) == rows
-    assert not inconsistent and len(keep) == rows
+    assert inconsistent is None and len(keep) == rows
     spans = layout[1]
     assert spans == [(0, 3, n)]
 
