@@ -14,7 +14,7 @@ All values are in bits. PPT'(A:B) = {sigma >= 0, ||T_B sigma||_1 <= 1}.
 import functools
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
 from . import linalg, sdp
 from .infomeasures import binary_entropy, entropy, sandwiched_objective
@@ -349,16 +349,13 @@ def ppt_prime_member(sigma, dims, slack=1e-8):
     return w[0] >= -slack and tb <= 1 + slack
 
 
-def _safe_rel_ent(R, sigma, r_log_r=None):
-    """D(R||sigma) in bits with an eigenvalue floor on sigma; r_log_r is
-    Tr{R log2 R} = -entropy(R), passed in when R is fixed over many calls."""
-    if r_log_r is None:
-        r_log_r = -entropy(R)
+def _safe_rel_ent(R, sigma):
+    """D(R||sigma) in bits with an eigenvalue floor on sigma."""
     ws, Vs = np.linalg.eigh(sigma)
     ws = np.maximum(ws, SIGMA_FLOOR * max(ws.max(), 1e-300))
     # weights of R on the eigenvectors of sigma
     r = np.real(np.sum(Vs.conj() * (R @ Vs), axis=0))
-    return float(r_log_r - np.sum(np.log2(ws) * r))
+    return float(-entropy(R) - np.sum(np.log2(ws) * r))
 
 
 def _rel_ent_gradient(R, sigma):
@@ -368,7 +365,17 @@ def _rel_ent_gradient(R, sigma):
     return -linalg.frechet_derivative(ws, Vs, np.log, np.reciprocal, R) / np.log(2)
 
 
-def _frank_wolfe(f, grad, sigma0, dims, gap_tol=1e-5, max_iter=500):
+def _line_minimum(grad, sigma, d, cap):
+    """argmin over [0, cap] of a convex f(sigma + t d) whose slope
+    phi'(t) = Re<grad(sigma + t d), d> is negative at 0: cap when
+    phi'(cap) <= 0, else the root of phi' by brentq to xtol 1e-14."""
+    slope = lambda t: float(np.real(np.vdot(grad(sigma + t * d), d)))
+    if slope(cap) <= 0:
+        return cap
+    return brentq(slope, 0.0, cap, xtol=1e-14)
+
+
+def _frank_wolfe(grad, sigma0, dims, gap_tol=1e-5, max_iter=500):
     """
     Away-step Frank-Wolfe (Lacoste-Julien & Jaggi, NeurIPS 2015) over PPT'.
 
@@ -378,6 +385,10 @@ def _frank_wolfe(f, grad, sigma0, dims, gap_tol=1e-5, max_iter=500):
     steeper; an atom whose weight falls to 1e-14 or below is dropped. The
     stop rule is the Frank-Wolfe gap <G, sigma - s> <= gap_tol, and each
     iteration makes one LMO call.
+
+    The step is the exact line minimum on [0, cap] (_line_minimum), whose
+    slope at 0 is negative: -gap < -gap_tol toward s, and -<G, a - sigma>
+    < -gap away from a. A step to cap is exact, so an away step drops a.
 
     :return: (sigma, gap, iterations, converged).
     """
@@ -397,15 +408,7 @@ def _frank_wolfe(f, grad, sigma0, dims, gap_tol=1e-5, max_iter=500):
             d, cap = s - sigma, 1.0
         else:
             d, cap = sigma - atoms[k], weights[k] / (1 - weights[k])
-        line = lambda t: f(sigma + t * d)
-        res = minimize_scalar(line, bounds=(0.0, cap), method='bounded',
-                              options={"xatol": 1e-12})
-        t = float(res.x)
-        # the bounded search stops about 1.5e-8 short of cap: without this
-        # check an away step would shrink an atom's weight forever and never
-        # drop it, and a toward step would miss a minimum at s itself
-        if line(cap) <= res.fun:
-            t = cap
+        t = _line_minimum(grad, sigma, d, cap)
         sigma = sigma + t * d
         if toward:
             atoms.append(s)
@@ -431,11 +434,9 @@ def rains_relative_entropy(rho, dims, gap_tol=1e-5, max_iter=500):
     R = as_matrix(rho)
     n = R.shape[0]
     sigma0 = np.eye(n, dtype=complex) / n
-    r_log_r = -entropy(R)
-    f = lambda s: _safe_rel_ent(R, s, r_log_r=r_log_r)
-    g = lambda s: _rel_ent_gradient(R, s)
-    sigma, gap, its, ok = _frank_wolfe(f, g, sigma0, dims, gap_tol, max_iter)
-    return {"value": f(sigma), "sigma": sigma, "gap": gap,
+    sigma, gap, its, ok = _frank_wolfe(lambda s: _rel_ent_gradient(R, s),
+                                       sigma0, dims, gap_tol, max_iter)
+    return {"value": _safe_rel_ent(R, sigma), "sigma": sigma, "gap": gap,
             "iterations": its, "converged": ok}
 
 
@@ -450,8 +451,8 @@ def sandwiched_rains(rho, dims, alpha, gap_tol=1e-5, max_iter=500):
     n = R.shape[0]
     obj = lambda s: sandwiched_objective(s, [1.0], [R], alpha)
     sigma0 = np.eye(n, dtype=complex) / n
-    sigma, gap, its, ok = _frank_wolfe(lambda s: obj(s)[0], lambda s: obj(s)[1],
-                                       sigma0, dims, gap_tol, max_iter)
+    sigma, gap, its, ok = _frank_wolfe(lambda s: obj(s)[1], sigma0, dims,
+                                       gap_tol, max_iter)
     return {"value": obj(sigma)[0], "sigma": sigma, "gap": gap,
             "iterations": its, "converged": ok}
 

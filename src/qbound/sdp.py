@@ -10,14 +10,15 @@ real symmetric embedding H -> [[Re H, -Im H], [Im H, Re H]] of each block.
 
 The constraint side is prepared once per constraint matrix: the first
 solve presolves A and copies the kept rows' columns once, in size-class
-order, as one (m, N) matrix F, and keeps it in a memo that later solves
-read. The memo is a function of the blocks and A alone; the objective C
-and the right-hand sides b are read on each solve, which also checks b
-against the rows the presolve dropped. Model.compile builds A once until a
-variable or constraint is added, and Model.with_data copies a model with a
-new objective or new right-hand sides, so the problems of one model
-structure share A and that memo. A problem's A must therefore not be
-mutated after construction.
+order, as one (m, N) matrix F (A itself when every row is kept and that
+order is A's), and keeps it in a memo that later solves read. The memo is
+a function of the blocks and A alone; the objective C and the right-hand
+sides b are read on each solve, which also checks b against the rows the
+presolve dropped. Model.compile builds A once until a variable or
+constraint is added, and Model.with_data copies a model with a new
+objective or new right-hand sides, so the problems of one model structure
+share A and that memo. A problem's A must therefore not be mutated after
+construction.
 
 Each iterate X, Z, the dual residual and each direction is one flat vector
 in size-class order, which each class reads as a (k, n, n) view, so
@@ -168,7 +169,10 @@ def _prepare(p):
         # of a flat vector, read as a (k, n, n) stack, block b is its entry
         # pos[b], and starts holds each block's first entry, in class order
         order = np.concatenate([i for _, i, _ in classes])
-        F = p.A[np.ix_(keep, np.concatenate([cols for _, _, cols in classes]))]
+        if len(keep) < len(p.A) or np.any(order != np.arange(len(order))):
+            F = p.A[np.ix_(keep, np.concatenate([c for _, _, c in classes]))]
+        else:  # every row, blocks in class order: F is A, not a copy
+            F = np.ascontiguousarray(p.A)
         sizes = [n for n, _, _ in classes]
         offs = np.cumsum([0] + [len(cols) for _, _, cols in classes])
         spans = [(int(offs[c]), len(i), n)

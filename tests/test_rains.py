@@ -388,6 +388,21 @@ def test_builders_compile_once_per_structure(monkeypatch, name):
             assert np.array_equal(sigma, _lmo_uncached(G, (2, 2)))
 
 
+@pytest.mark.parametrize("build, key, shared", [
+    (rains._ppt_prime_program, ((2, 2),), True),
+    (rains._rmax_state_program, ((4, 4),), True),
+    (rains._inf_norm_program, ((2, 2, 2, 2), (0, 3), (2, 3), True), False),
+])
+def test_prepared_constraints_share_A_when_nothing_is_permuted(build, key,
+                                                                 shared):
+    # F is A itself when every row is kept in block order; the reduced
+    # bidirectional dual reorders its blocks, so it keeps a copy
+    p = build(*key)[0].compile()
+    F = sdp._prepare(p)[2][2]
+    assert np.shares_memory(F, p.A) is shared
+    assert np.array_equal(F, p.A) is shared
+
+
 _THREADED = {  # name in _BUILDERS: its inputs
     "ppt_prime_lmo": [_hermitian(4, np.random.default_rng(seed))
                       for seed in range(8)],
@@ -459,7 +474,7 @@ def test_rains_relative_entropy_isotropic_closed_form(d, w):
     assert res["value"] == pytest.approx(exact, abs=1e-5)
     if (d, w) == (2, 0.85):
         # the line minimum of the last toward step is the LMO output itself,
-        # which only the endpoint check in _frank_wolfe reaches
+        # which _line_minimum returns exactly when the slope there is <= 0
         assert res["value"] == pytest.approx(exact, abs=1e-9)
 
 
@@ -474,18 +489,63 @@ def test_frank_wolfe_one_lmo_call_per_iteration(monkeypatch):
         return lmo(G, dims)
     monkeypatch.setattr(rains, "ppt_prime_lmo", counted)
     rho, dims = _nearly_pure_qubit_product()
-    f = lambda s: rains._safe_rel_ent(rho, s)
     g = lambda s: rains._rel_ent_gradient(rho, s)
     sigma0 = np.eye(4, dtype=complex) / 4
     for max_iter, converged in ((500, True), (3, False)):
         calls.clear()
-        out = rains._frank_wolfe(f, g, sigma0, dims, 1e-5, max_iter)
+        out = rains._frank_wolfe(g, sigma0, dims, 1e-5, max_iter)
         assert len(out) == 4
         sigma, gap, iterations, ok = out
         assert ok is converged
         assert iterations == len(calls)
         assert (gap <= 1e-5) is converged
         assert rains.ppt_prime_member(sigma, dims, slack=1e-6)
+
+
+def test_rains_relative_entropy_evaluates_value_once(monkeypatch):
+    # Frank-Wolfe steps from gradients alone; only the final sigma is valued
+    calls = []
+    value = rains._safe_rel_ent
+
+    def counted(R, sigma):
+        calls.append(sigma)
+        return value(R, sigma)
+    monkeypatch.setattr(rains, "_safe_rel_ent", counted)
+    rho, dims = _nearly_pure_qubit_product()
+    res = rains.rains_relative_entropy(rho, dims)
+    assert len(calls) == 1 and calls[0] is res["sigma"]
+
+
+def _line_case(seed):
+    """Seeded full-rank R and sigma, and the direction d = tau - sigma to a
+    full-rank tau."""
+    rng = np.random.default_rng(seed)
+    R, sigma, tau = (qcore.random_density(4, rng).matrix for _ in range(3))
+    return R, sigma, tau - sigma
+
+
+def test_line_minimum_interior():
+    for seed in range(2):
+        R, sigma, d = _line_case(seed)
+        # R near the segment's midpoint puts the minimum inside it
+        R = 0.8 * (sigma + d / 2) + 0.2 * R
+        grad = lambda s: rains._rel_ent_gradient(R, s)
+        f = lambda t: rains._safe_rel_ent(R, sigma + t * d)
+        cap = 1.0
+        t = rains._line_minimum(grad, sigma, d, cap)
+        assert 0 < t < cap
+        assert f(t) <= min(map(f, np.linspace(0, cap, 2001))) + 1e-12
+
+
+def test_line_minimum_endpoint():
+    # the minimum lies past cap: the slope at cap is <= 0, so cap exactly
+    R, sigma, d = _line_case(7)
+    R = sigma + d  # f is least at t = 1
+    grad = lambda s: rains._rel_ent_gradient(R, s)
+    cap = 0.3 / 0.7
+    slope = np.real(np.vdot(grad(sigma + cap * d), d))
+    assert slope <= 0
+    assert rains._line_minimum(grad, sigma, d, cap) == cap
 
 
 def test_safe_rel_ent_matches_eigenpair_loop():
