@@ -422,20 +422,38 @@ def _frank_wolfe(grad, sigma0, dims, gap_tol=1e-5, max_iter=500):
     return sigma, gap, max_iter, False
 
 
+def _start_point(R, dims):
+    """Frank-Wolfe's start in PPT' for the state R: R/||T_B R||_1 when
+    ||T_B R||_1 <= 1 + 1e-12, that is when R is PPT up to rounding, else
+    I/n. The threshold sits just above rounding (under 1e-15 on product
+    states), not at gap_tol: an NPT state of negativity 1e-6 started at
+    R/||T_B R||_1 stops at a value 2e4 times too large."""
+    c = linalg.schatten_norm(linalg.partial_transpose(R, dims, [1]), 1)
+    if c <= 1 + 1e-12:
+        return R / c
+    n = R.shape[0]
+    return np.eye(n, dtype=complex) / n
+
+
 def rains_relative_entropy(rho, dims, gap_tol=1e-5, max_iter=500):
     """
     Rains relative entropy min D(rho||sigma) over PPT', by away-step
     Frank-Wolfe (one PPT' linear-oracle SDP per iteration).
+
+    It starts at rho/||T_B rho||_1 when rho is PPT up to rounding, else
+    at I/n. On a PPT state that start is the minimizer: it lies in PPT',
+    and D(rho||sigma) >= -log2 Tr sigma >= 0 on PPT' (Rains, IEEE TIT 47
+    (2001)), so the first LMO's gap certifies the value 0 after one
+    iteration.
 
     :return: dict with value (an upper bound on the true minimum), the
         final iterate, the Frank-Wolfe duality-gap estimate, and a
         convergence flag.
     """
     R = as_matrix(rho)
-    n = R.shape[0]
-    sigma0 = np.eye(n, dtype=complex) / n
     sigma, gap, its, ok = _frank_wolfe(lambda s: _rel_ent_gradient(R, s),
-                                       sigma0, dims, gap_tol, max_iter)
+                                       _start_point(R, dims), dims, gap_tol,
+                                       max_iter)
     return {"value": _safe_rel_ent(R, sigma), "sigma": sigma, "gap": gap,
             "iterations": its, "converged": ok}
 
@@ -444,15 +462,18 @@ def sandwiched_rains(rho, dims, alpha, gap_tol=1e-5, max_iter=500):
     """
     Sandwiched Rains relative entropy over PPT' (alpha > 1), Frank-Wolfe
     with an analytic gradient.
+
+    It starts where rains_relative_entropy does. On a PPT state
+    rho/||T_B rho||_1 is again the minimizer, with value 0, because the
+    sandwiched divergence is >= -log2 Tr sigma >= 0 on PPT' as well.
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     R = as_matrix(rho)
-    n = R.shape[0]
     obj = lambda s: sandwiched_objective(s, [1.0], [R], alpha)
-    sigma0 = np.eye(n, dtype=complex) / n
-    sigma, gap, its, ok = _frank_wolfe(lambda s: obj(s)[1], sigma0, dims,
-                                       gap_tol, max_iter)
+    sigma, gap, its, ok = _frank_wolfe(lambda s: obj(s)[1],
+                                       _start_point(R, dims), dims, gap_tol,
+                                       max_iter)
     return {"value": obj(sigma)[0], "sigma": sigma, "gap": gap,
             "iterations": its, "converged": ok}
 

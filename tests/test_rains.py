@@ -453,8 +453,9 @@ def _qutrit_product():
 
 @pytest.mark.parametrize("make", [_nearly_pure_qubit_product, _qutrit_product])
 def test_rains_relative_entropy_product_states_converge(make):
-    # sigma = rho lies inside a face of PPT', where vanilla Frank-Wolfe
-    # zig-zags: both states stop at max_iter=500 without away steps
+    # a product state is PPT, so Frank-Wolfe starts at its minimizer; from
+    # I/n (test_frank_wolfe_one_lmo_call_per_iteration) sigma = rho lies in
+    # a face of PPT', where vanilla Frank-Wolfe zig-zags to max_iter=500
     rho, dims = make()
     res = rains.rains_relative_entropy(rho, dims)
     assert res["converged"]
@@ -498,8 +499,70 @@ def test_frank_wolfe_one_lmo_call_per_iteration(monkeypatch):
         sigma, gap, iterations, ok = out
         assert ok is converged
         assert iterations == len(calls)
+        assert iterations <= 100  # away steps end the zig-zag from I/4
         assert (gap <= 1e-5) is converged
         assert rains.ppt_prime_member(sigma, dims, slack=1e-6)
+
+
+def _pure_product(d, rng):
+    return np.kron(qcore.random_density(d, rng, rank=1).matrix,
+                   qcore.random_density(d, rng, rank=1).matrix)
+
+
+def _rank_two_separable():
+    rng = np.random.default_rng(5)
+    return 0.3 * _pure_product(2, rng) + 0.7 * _pure_product(2, rng), (2, 2)
+
+
+def _isotropic(F):
+    """The two-qubit isotropic state of fidelity F with the maximally
+    entangled state; it is PPT exactly when F <= 1/2."""
+    w = (F - 1 / 4) / (1 - 1 / 4)
+    return w * qcore.max_ent_state(2) + (1 - w) * np.eye(4) / 4, (2, 2)
+
+
+_RAINS_CALLS = {
+    "rains_relative_entropy": rains.rains_relative_entropy,
+    "sandwiched_rains": lambda rho, dims: rains.sandwiched_rains(rho, dims,
+                                                                 alpha=2),
+}
+
+
+@pytest.mark.parametrize("call", list(_RAINS_CALLS))
+@pytest.mark.parametrize("make", [
+    _rank_two_separable,
+    lambda: (_pure_product(2, np.random.default_rng(2)), (2, 2)),
+    lambda: (_pure_product(3, np.random.default_rng(3)), (3, 3)),
+    lambda: _isotropic(0.5),
+], ids=["rank-2 separable", "qubit pure product", "qutrit pure product",
+        "isotropic F=1/2"])
+def test_ppt_state_certified_zero_by_one_lmo(call, make):
+    # rho/||T_B rho||_1 is in PPT' and D >= -log2 Tr sigma >= 0 there, so
+    # the first gap certifies the minimum 0
+    rho, dims = make()
+    res = _RAINS_CALLS[call](rho, dims)
+    assert res["converged"]
+    assert res["iterations"] == 1
+    assert abs(res["value"]) <= 1e-9
+
+
+@pytest.mark.parametrize("call", list(_RAINS_CALLS))
+def test_frank_wolfe_start_rule(monkeypatch, call):
+    starts = []
+
+    def recorded(grad, sigma0, dims, gap_tol, max_iter):
+        starts.append(sigma0)
+        return sigma0, 0.0, 1, True
+    monkeypatch.setattr(rains, "_frank_wolfe", recorded)
+    # weight 0.85 on the maximally entangled state, and just past PPT
+    for rho, dims in (_isotropic(0.85 + 0.15 / 4), _isotropic(0.5 + 1e-6)):
+        _RAINS_CALLS[call](rho, dims)
+    assert len(starts) == 2
+    assert all(np.array_equal(s, np.eye(4) / 4) for s in starts)
+    rho, dims = _nearly_pure_qubit_product()
+    _RAINS_CALLS[call](rho, dims)
+    c = linalg.schatten_norm(linalg.partial_transpose(rho, dims, [1]), 1)
+    assert np.array_equal(starts[-1], rho / c)
 
 
 def test_rains_relative_entropy_evaluates_value_once(monkeypatch):
