@@ -207,10 +207,10 @@ def entropy_rate(rho, rhodot):
 PROJECTOR_CUT = 1e-10  # support projector cut, relative to the top eigenvalue
 
 
-def support_projector(rho, cut=PROJECTOR_CUT):
+def support_projector(rho):
     R = as_matrix(rho)
     w, V = linalg.eigh(R)
-    keep = w > cut * max(w.max(), np.finfo(float).tiny)
+    keep = w > PROJECTOR_CUT * max(w.max(), np.finfo(float).tiny)
     Vk = V[:, keep]
     return Vk @ Vk.conj().T
 
@@ -236,7 +236,7 @@ def markov_lower_bound(gen, t, rho, method="projector"):
     raise ValueError("method must be projector or commutator")
 
 
-def witness_f(gen, t, rho, rhodot=None):
+def witness_f(gen, t, rho):
     """
     Entropy rate minus its divisibility lower bound; negative values
     witness departure from (completely) divisible dynamics.
@@ -244,7 +244,7 @@ def witness_f(gen, t, rho, rhodot=None):
     One eigendecomposition of rho gives all three parts: the support
     projector of support_projector, the log on the support of
     entropy_rate and the projector form of markov_lower_bound. The value
-    is +inf where rhodot moves weight into the kernel (the rank grows).
+    is +inf where L_t(rho) moves weight into the kernel (the rank grows).
 
     :param rho: one (d, d) state or a (k, d, d) stack.
     :return: a float, or an array of k values for a stack.
@@ -254,8 +254,7 @@ def witness_f(gen, t, rho, rhodot=None):
     if np.abs(R - Rh).max() > linalg.HERM_TOL * max(1.0, np.abs(R).max()):
         raise ValueError("matrix is not Hermitian within tolerance")
     R = (R + Rh) / 2
-    if rhodot is None:
-        rhodot = gen.apply(t, R)
+    rhodot = gen.apply(t, R)
     w, V = np.linalg.eigh(R)
     tiny = np.finfo(float).tiny
     keep = w > PROJECTOR_CUT * np.maximum(w.max(-1, keepdims=True), tiny)
@@ -279,13 +278,13 @@ def witness_f(gen, t, rho, rhodot=None):
     return float(f) if f.ndim == 0 else f
 
 
-def bloch_grid(n_polar=6, n_azim=12):
-    """Pure qubit states on a regular (polar x azimuthal) angle grid."""
+def bloch_grid():
+    """Pure qubit states on a 6 x 12 (polar x azimuthal) grid and the poles."""
     states = []
-    for i in range(1, n_polar + 1):
-        th = math.pi * i / (n_polar + 1)
-        for j in range(n_azim):
-            ph = 2 * math.pi * j / n_azim
+    for i in range(1, 7):
+        th = math.pi * i / 7
+        for j in range(12):
+            ph = 2 * math.pi * j / 12
             v = np.array([math.cos(th / 2),
                           math.sin(th / 2) * np.exp(1j * ph)])
             states.append(np.outer(v, v.conj()))
@@ -294,7 +293,7 @@ def bloch_grid(n_polar=6, n_azim=12):
     return states
 
 
-def nonmarkov_measure(gen, t_max, n_steps=200, states=None, local_err=1e-9):
+def nonmarkov_measure(gen, t_max, n_steps=200, states=None):
     """
     Lower bound on a non-Markovianity measure: the integral of the
     negative part of the witness along the trajectory, maximized over a
@@ -307,8 +306,7 @@ def nonmarkov_measure(gen, t_max, n_steps=200, states=None, local_err=1e-9):
             raise ValueError("default state grid only covers qubits")
         states = bloch_grid()
     ts = np.linspace(0.0, t_max, n_steps + 1)
-    traj = evolve(gen, np.array([as_matrix(r) for r in states]), ts,
-                  local_err=local_err)
+    traj = evolve(gen, np.array([as_matrix(r) for r in states]), ts)
     fs = np.array([witness_f(gen, t, r) for t, r in zip(ts, traj)])
     vals = np.trapezoid(np.maximum(0.0, -fs), ts, axis=0)
     i = int(np.argmax(vals))

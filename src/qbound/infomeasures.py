@@ -15,7 +15,6 @@ from . import linalg, sdp
 from .qcore import as_matrix
 
 INF = math.inf
-SANDWICH_FLOOR = 1e-12  # eigenvalue floor of sigma in sandwiched_objective
 
 
 def _logfn(base):
@@ -117,7 +116,7 @@ def sandwiched_objective(sigma, probs, states, alpha):
 
     With one state it is D_alpha(rho||sigma); over a cq ensemble it is the
     divergence between the joint state and p (x) sigma. The eigenvalues of
-    sigma are floored at SANDWICH_FLOOR times the largest, and those of Q_x
+    sigma are floored by linalg.floored_eigh, and those of Q_x
     below 1e-16 times the largest count as zero. The gradient is
     alpha D(sigma^e)[sum_x p_x (rho_x sigma^e Q_x^(alpha-1) + h.c.)]
     / ((alpha-1) ln 2 sum_x p_x Tr{Q_x^alpha}), with D the Frechet
@@ -126,8 +125,7 @@ def sandwiched_objective(sigma, probs, states, alpha):
     :return: (value in bits, Hermitian gradient).
     """
     e = (1 - alpha) / (2 * alpha)
-    ws, Vs = np.linalg.eigh(sigma)
-    ws = np.maximum(ws, SANDWICH_FLOOR * max(ws.max(), 1e-300))
+    ws, Vs = linalg.floored_eigh(sigma)
     Se = (Vs * ws ** e) @ Vs.conj().T
     tot = 0.0
     K = np.zeros_like(Se)

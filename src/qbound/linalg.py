@@ -14,6 +14,7 @@ import numpy as np
 SUPPORT_CUT = 1e-12  # relative to the largest eigenvalue magnitude
 HERM_TOL = 1e-10
 TIE_CUT = 1e-8  # about sqrt(machine eps): relative gap below which eigenvalues tie
+FLOOR = 1e-12  # relative eigenvalue floor of floored_eigh
 
 
 def _as_matrix(M):
@@ -47,6 +48,15 @@ def eigh(H):
     H = check_hermitian(H)
     vals, vecs = np.linalg.eigh(H)
     return vals, vecs
+
+
+def floored_eigh(sigma):
+    """np.linalg.eigh of a positive semidefinite sigma with its eigenvalues
+    raised to FLOOR times the largest: the one floor that the first-order
+    methods put under sigma, which keeps log sigma and negative powers of
+    sigma finite on its kernel."""
+    w, V = np.linalg.eigh(sigma)
+    return np.maximum(w, FLOOR * max(w.max(), 1e-300)), V
 
 
 def matrix_fn_on_support(H, f):

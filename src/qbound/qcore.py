@@ -209,14 +209,14 @@ class GroupRep:
     def __len__(self):
         return len(self.unitaries)
 
-    def is_one_design(self, tol=1e-9):
+    def is_one_design(self):
         d = self.dim
         avg = sum(np.kron(u, u.conj()) for u in self.unitaries) / len(self)
         # twirl of any rho is the maximally mixed state iff the averaged
         # transfer matrix equals |vec 1><vec 1| / d
         v = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
         target = np.outer(v, v.conj())
-        return np.abs(avg - target).max() <= tol
+        return np.abs(avg - target).max() <= 1e-9
 
 
 def choi_of(ch):
@@ -408,10 +408,10 @@ def zero_error_pair():
 # covariance machinery
 # ---------------------------------------------------------------------------
 
-def covariance_check(ch, in_rep, out_rep, tol=1e-9, return_residual=False):
+def covariance_check(ch, in_rep, out_rep, return_residual=False):
     """True iff N(U_g rho U_g^dag) = V_g N(rho) V_g^dag for every g.
 
-    Checked at the Choi level: conj(U_g) (x) V_g must commute with J.
+    Checked at the Choi level: conj(U_g) (x) V_g must commute with J to 1e-9.
     """
     if in_rep.dim != ch.in_dim or out_rep.dim != ch.out_dim:
         raise ValueError("representation dims do not match the channel")
@@ -423,8 +423,8 @@ def covariance_check(ch, in_rep, out_rep, tol=1e-9, return_residual=False):
         W = np.kron(U.conj(), V)
         res = max(res, np.abs(W @ J @ W.conj().T - J).max())
     if return_residual:
-        return res <= tol, res
-    return res <= tol
+        return res <= 1e-9, res
+    return res <= 1e-9
 
 
 def isotypic_blocks(unitaries):
@@ -558,7 +558,7 @@ def _conj_correction(U, in_rep, out_rep):
     return best
 
 
-def bidirectional_from_cell(channels, control_dim=None):
+def bidirectional_from_cell(channels):
     """Controlled channel sum_x |x><x| (x) M^x with the control first.
 
     :param channels: list of KrausChannel with common dims, one per symbol.
@@ -570,9 +570,7 @@ def bidirectional_from_cell(channels, control_dim=None):
     dout = channels[0].out_dim
     if any(c.in_dim != din or c.out_dim != dout for c in channels):
         raise ValueError("inhomogeneous cell")
-    nx = control_dim or len(channels)
-    if nx != len(channels):
-        raise ValueError("control dimension mismatch")
+    nx = len(channels)
     nk = max(len(c.kraus) for c in channels)
     kraus = []
     for j in range(nk):

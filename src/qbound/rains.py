@@ -17,12 +17,11 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import linalg, sdp
-from .infomeasures import binary_entropy, entropy, sandwiched_objective
+from .infomeasures import (binary_entropy, relative_entropy,
+                           sandwiched_objective)
 from .qcore import (BipartiteChannel, DensityOperator, KrausChannel,
                     apply_local, as_matrix, choi_of, hw_group,
                     isotypic_blocks, max_ent_state)
-
-SIGMA_FLOOR = 1e-14  # relative eigenvalue floor of sigma in D(R||sigma)
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,14 +326,14 @@ def _ppt_prime_program(dims):
     return m, S
 
 
-def ppt_prime_lmo(G, dims, tol=1e-9):
+def ppt_prime_lmo(G, dims):
     """argmin Tr{G sigma} over the PPT' spectrahedron. It solves the
     equality form Tr(C + D) = 1 of _ppt_prime_program and returns the zero
     matrix when the solve's optimum is >= 0. This is exact: sigma = 0 is
     in PPT' with Tr{G sigma} = 0, so it is a minimizer whenever the
     optimum is not negative."""
     m, S = _program(_ppt_prime_program, tuple(map(int, dims)))
-    sol = m.with_data(objective={S: G}).solve(tol=tol,
+    sol = m.with_data(objective={S: G}).solve(tol=1e-9,
                                               label="PPT' linear oracle")
     if sol.primal_value >= 0:
         return np.zeros_like(sol.primal_blocks[S])
@@ -349,19 +348,10 @@ def ppt_prime_member(sigma, dims, slack=1e-8):
     return w[0] >= -slack and tb <= 1 + slack
 
 
-def _safe_rel_ent(R, sigma):
-    """D(R||sigma) in bits with an eigenvalue floor on sigma."""
-    ws, Vs = np.linalg.eigh(sigma)
-    ws = np.maximum(ws, SIGMA_FLOOR * max(ws.max(), 1e-300))
-    # weights of R on the eigenvectors of sigma
-    r = np.real(np.sum(Vs.conj() * (R @ Vs), axis=0))
-    return float(-entropy(R) - np.sum(np.log2(ws) * r))
-
-
 def _rel_ent_gradient(R, sigma):
-    """Gradient of sigma -> -Tr{R log2 sigma} (Daleckii-Krein)."""
-    ws, Vs = np.linalg.eigh(sigma)
-    ws = np.maximum(ws, SIGMA_FLOOR * max(ws.max(), 1e-300))
+    """Gradient of sigma -> -Tr{R log2 sigma} (Daleckii-Krein), at sigma
+    floored by linalg.floored_eigh."""
+    ws, Vs = linalg.floored_eigh(sigma)
     return -linalg.frechet_derivative(ws, Vs, np.log, np.reciprocal, R) / np.log(2)
 
 
@@ -435,7 +425,7 @@ def _start_point(R, dims):
     return np.eye(n, dtype=complex) / n
 
 
-def rains_relative_entropy(rho, dims, gap_tol=1e-5, max_iter=500):
+def rains_relative_entropy(rho, dims):
     """
     Rains relative entropy min D(rho||sigma) over PPT', by away-step
     Frank-Wolfe (one PPT' linear-oracle SDP per iteration).
@@ -446,34 +436,34 @@ def rains_relative_entropy(rho, dims, gap_tol=1e-5, max_iter=500):
     (2001)), so the first LMO's gap certifies the value 0 after one
     iteration.
 
-    :return: dict with value (an upper bound on the true minimum), the
-        final iterate, the Frank-Wolfe duality-gap estimate, and a
-        convergence flag.
+    :return: dict with value (infomeasures.relative_entropy of the final
+        iterate, an upper bound on the true minimum), the final iterate,
+        the Frank-Wolfe duality-gap estimate, and a convergence flag.
     """
     R = as_matrix(rho)
     sigma, gap, its, ok = _frank_wolfe(lambda s: _rel_ent_gradient(R, s),
-                                       _start_point(R, dims), dims, gap_tol,
-                                       max_iter)
-    return {"value": _safe_rel_ent(R, sigma), "sigma": sigma, "gap": gap,
+                                       _start_point(R, dims), dims)
+    return {"value": relative_entropy(R, sigma), "sigma": sigma, "gap": gap,
             "iterations": its, "converged": ok}
 
 
-def sandwiched_rains(rho, dims, alpha, gap_tol=1e-5, max_iter=500):
+def sandwiched_rains(rho, dims, alpha):
     """
     Sandwiched Rains relative entropy over PPT' (alpha > 1), Frank-Wolfe
     with an analytic gradient.
 
     It starts where rains_relative_entropy does. On a PPT state
     rho/||T_B rho||_1 is again the minimizer, with value 0, because the
-    sandwiched divergence is >= -log2 Tr sigma >= 0 on PPT' as well.
+    sandwiched divergence is >= -log2 Tr sigma >= 0 on PPT' as well. The
+    value is the objective whose gradient Frank-Wolfe follows, not
+    infomeasures.sandwiched_renyi, which is D(rho||sigma) near alpha = 1.
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     R = as_matrix(rho)
     obj = lambda s: sandwiched_objective(s, [1.0], [R], alpha)
     sigma, gap, its, ok = _frank_wolfe(lambda s: obj(s)[1],
-                                       _start_point(R, dims), dims, gap_tol,
-                                       max_iter)
+                                       _start_point(R, dims), dims)
     return {"value": obj(sigma)[0], "sigma": sigma, "gap": gap,
             "iterations": its, "converged": ok}
 

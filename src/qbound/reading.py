@@ -8,14 +8,13 @@ certificate all live here. Capacities and rates are in bits.
 import math
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import linalg
 from .infomeasures import (_relative_entropies, cq_state, entropy, g_fn,
                            holevo, mutual_information, coherent_information,
                            conditional_mutual_information, relative_entropy,
-                           rel_entropy_variance, sandwiched_objective,
-                           SANDWICH_FLOOR)
+                           rel_entropy_variance, sandwiched_objective)
 from .qcore import (GroupRep, IsometricExtension, apply_local, as_matrix,
                     choi_of, covariance_check, depolarizing,
                     erasure_wiretap_isometry, gadc, isometric_extension, ket,
@@ -28,7 +27,7 @@ class MemoryCell:
     carrying one isometric (wiretap) extension per symbol.
     """
 
-    def __init__(self, channels, wiretap=None, symbols=None):
+    def __init__(self, channels, wiretap=None):
         channels = list(channels)
         if not channels:
             raise ValueError("cell needs at least one symbol")
@@ -48,8 +47,6 @@ class MemoryCell:
                                      "out to the cell channel")
         self.channels = channels
         self.wiretap = wiretap
-        self.symbols = list(symbols) if symbols is not None \
-            else list(range(len(channels)))
         self.in_dim = din
         self.out_dim = dout
 
@@ -80,10 +77,10 @@ class MemoryCell:
         return joints, envs
 
 
-def with_wiretaps(channels, symbols=None):
+def with_wiretaps(channels):
     """Cell with canonical isometric extensions attached."""
     ws = [isometric_extension(ch) for ch in channels]
-    return MemoryCell(channels, wiretap=ws, symbols=symbols)
+    return MemoryCell(channels, wiretap=ws)
 
 
 class EnvCell:
@@ -92,7 +89,7 @@ class EnvCell:
     per-symbol ancilla states, with M_x(rho) = F(rho (x) theta_x).
     """
 
-    def __init__(self, theta_states, interaction, cell=None, tol=1e-9):
+    def __init__(self, theta_states, interaction, cell=None):
         self.theta = [as_matrix(t) for t in theta_states]
         self.interaction = interaction
         if cell is not None:
@@ -101,7 +98,7 @@ class EnvCell:
             E = np.eye(din * din, dtype=complex).reshape(din, din, din, din)
             for th, ch in zip(self.theta, cell.channels):
                 lhs = interaction.apply(np.kron(E, th))
-                if np.abs(lhs - ch.apply(E)).max() > tol:
+                if np.abs(lhs - ch.apply(E)).max() > 1e-9:
                     raise ValueError("interaction does not "
                                      "reproduce the cell channel")
         self.cell = cell
@@ -134,20 +131,20 @@ def _trivial_out_group(ch, group):
     return GroupRep(mats, check_closure=False)
 
 
-def blahut_arimoto(states, tol=1e-10, kkt_tol=1e-8, max_iter=20000):
+def blahut_arimoto(states, max_iter=20000):
     """
     Capacity of the classical-quantum channel x -> rho_x.
 
     Iterates are monotone nondecreasing; stops once successive Holevo
-    values differ by less than tol and the KKT residual
-    max_x D(rho_x || rho_bar) - I is below kkt_tol. The states'
+    values differ by less than 1e-10 and the KKT residual
+    max_x D(rho_x || rho_bar) - I is at most 1e-8. The states'
     entropies are computed once; each iteration then makes one
     eigendecomposition, of rho_bar, and gets every D(rho_x || rho_bar)
     from it. When a weight p_x falls so low that rho_bar loses the
     support of rho_x (a divergence becomes inf), the last iterate with
     finite divergences is returned; as the capacity is at most its
     Holevo value plus its KKT residual, it counts as converged when that
-    residual is below kkt_tol.
+    residual is at most 1e-8.
 
     :return: dict with capacity (bits), optimal p, iterations,
         kkt_residual and converged (False when max_iter ran out first).
@@ -167,13 +164,13 @@ def blahut_arimoto(states, tol=1e-10, kkt_tol=1e-8, max_iter=20000):
             if out is None:
                 raise ArithmeticError("Blahut-Arimoto: infinite divergence "
                                       "at the uniform prior")
-            out["converged"] = out["kkt_residual"] <= kkt_tol
+            out["converged"] = out["kkt_residual"] <= 1e-8
             break
         cap = float(np.dot(p, divs))
         resid = float(divs.max() - cap)
         out = {"capacity": cap, "p": p, "iterations": it,
                "kkt_residual": resid,
-               "converged": abs(cap - prev) < tol and resid <= kkt_tol}
+               "converged": abs(cap - prev) < 1e-10 and resid <= 1e-8}
         if out["converged"]:
             break
         prev = cap
@@ -191,14 +188,14 @@ def _converged_blahut_arimoto(states):
     return ba
 
 
-def fock_cutoff(N, tail=1e-12):
-    """Smallest m with (N/(N+1))^(m+1) < tail."""
+def fock_cutoff(N):
+    """Smallest m with (N/(N+1))^(m+1) < 1e-12."""
     if N <= 0:
         return 0
     r = N / (N + 1.0)
-    m = int(math.ceil(math.log(tail) / math.log(r))) - 1
+    m = int(math.ceil(math.log(1e-12) / math.log(r))) - 1
     m = max(m, 0)
-    while r ** (m + 1) >= tail:
+    while r ** (m + 1) >= 1e-12:
         m += 1
         if m > 10 ** 7:
             raise OverflowError("Fock cutoff too large")
@@ -216,7 +213,7 @@ def thermal_state(N, cutoff):
     return np.diag(p).astype(complex)
 
 
-def thermal_cell_capacity(Ns, probs=None, tail=1e-12):
+def thermal_cell_capacity(Ns, probs=None):
     """
     Capacity of a cell of thermal ancilla states with the given mean
     photon numbers. With probs fixed, the Holevo quantity; otherwise
@@ -227,7 +224,7 @@ def thermal_cell_capacity(Ns, probs=None, tail=1e-12):
     Ns = [float(N) for N in Ns]
     if any(N < 0 for N in Ns):
         raise ValueError("mean photon numbers must be nonnegative")
-    cut = max(fock_cutoff(N, tail) for N in Ns)
+    cut = max(fock_cutoff(N) for N in Ns)
     states = [thermal_state(N, cut) for N in Ns]
     if probs is not None:
         return float(holevo(probs, states))
@@ -253,15 +250,16 @@ def second_order_bound(states, n, eps, probs=None):
     prod = cq_state(probs, [avg] * len(states))
     I = float(holevo(probs, states))
     V = rel_entropy_variance(rho_xb, prod)
-    return float(I + math.sqrt(V / n) * norm.ppf(eps))
+    return float(I + math.sqrt(V / n) * ndtri(eps))
 
 
-def renyi_mutual_information(probs, states, alpha, residual_tol=1e-7,
-                             max_iter=5000):
+def renyi_mutual_information(probs, states, alpha):
     """
     Sandwiched Renyi mutual information of a cq ensemble: minimum over
     sigma of the sandwiched divergence between the joint and
-    p (x) sigma, by exponentiated-gradient descent on sigma.
+    p (x) sigma, by exponentiated-gradient descent on sigma (log sigma
+    of linalg.floored_eigh), converged once the stationarity residual is
+    at most 1e-7; at most 5000 iterations.
 
     :return: dict with value (bits), sigma, stationarity residual.
     """
@@ -274,12 +272,13 @@ def renyi_mutual_information(probs, states, alpha, residual_tol=1e-7,
     val, G = sandwiched_objective(sigma, probs, states, alpha)
     eta = 1.0
     res = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, 5001):
         res = float(np.real(np.trace(sigma @ G)) - np.linalg.eigvalsh(G).min())
-        if res <= residual_tol:
+        if res <= 1e-7:
             break
         stepped = False
-        L = _logm_full(sigma)
+        ws, Vs = linalg.floored_eigh(sigma)
+        L = (Vs * np.log(ws)) @ Vs.conj().T
         for _ in range(60):
             cand = _expm_density(L - eta * G)
             cval, cG = sandwiched_objective(cand, probs, states, alpha)
@@ -292,13 +291,7 @@ def renyi_mutual_information(probs, states, alpha, residual_tol=1e-7,
         if not stepped:
             break
     return {"value": val, "sigma": sigma, "residual": res,
-            "iterations": it, "converged": res <= residual_tol}
-
-
-def _logm_full(sigma):
-    ws, Vs = np.linalg.eigh(sigma)
-    ws = np.maximum(ws, SANDWICH_FLOOR * ws.max())
-    return (Vs * np.log(ws)) @ Vs.conj().T
+            "iterations": it, "converged": res <= 1e-7}
 
 
 def _expm_density(H):
@@ -308,14 +301,12 @@ def _expm_density(H):
     return E / np.real(np.trace(E))
 
 
-def strong_converse_exponent(probs, states, R, alpha, n=1,
-                             residual_tol=1e-7):
+def strong_converse_exponent(probs, states, R, alpha, n=1):
     """
     Strong-converse success-probability bound
     2^{-n (1 - 1/alpha)(R - I_alpha)} for reading at rate R.
     """
-    mi = renyi_mutual_information(probs, states, alpha,
-                                 residual_tol=residual_tol)
+    mi = renyi_mutual_information(probs, states, alpha)
     if not mi["converged"]:
         raise ArithmeticError("Renyi minimization residual %.3g" % mi["residual"])
     expo = (1 - 1.0 / alpha) * (R - mi["value"])

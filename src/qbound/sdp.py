@@ -267,6 +267,10 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     Z = max(10.0, np.sqrt(ntot), normC, normA) * eye
     y = np.zeros(m)
     eyes = views(eye)
+    # the Schur complement's two (m, k, n, n) work stacks per size class,
+    # made once per solve: made each iteration, the allocator may give
+    # their pages back to the system and fault them in again every time
+    work = [np.empty((2, m, k, n, n)) for _, k, n in spans]
 
     def inv_factor(V):
         # inverse Cholesky factors of a stack, or block by block if one fails;
@@ -325,9 +329,11 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
 
         # Schur complement M_ij = Tr(A_i X A_j Z^{-1}), one product per class
         M = np.zeros((m, m))
-        for Fb, Xc, Zic, (_, k, n) in zip(Fc, Xs, Zi, spans):
-            V = Zic[None] @ Fb.reshape(m, k, n, n) @ Xc[None]
-            M += np.transpose(V, (0, 1, 3, 2)).reshape(m, -1) @ Fb.T
+        for Fb, Xc, Zic, (W, V) in zip(Fc, Xs, Zi, work):
+            np.matmul(Zic[None], Fb.reshape(V.shape), out=W)
+            np.matmul(W, Xc[None], out=V)
+            np.copyto(W, V.transpose(0, 1, 3, 2))
+            M += W.reshape(m, -1) @ Fb.T
         M = (M + M.T) / 2
         factor, info = lapack.dpotrf(M)
         if info < 0:

@@ -24,6 +24,22 @@ def test_eigh_rejects_non_hermitian():
         linalg.eigh(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def test_floored_eigh(rng):
+    # rank 2 of 4: the kernel's eigenvalues are raised to exactly FLOOR
+    # times the largest, and the rest of eigh's output is kept
+    v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    S = v @ v.conj().T
+    w0, V0 = np.linalg.eigh(S)
+    w, V = linalg.floored_eigh(S)
+    assert np.array_equal(w[:2], np.full(2, linalg.FLOOR * w0.max()))
+    assert np.array_equal(w[2:], w0[2:]) and np.array_equal(V, V0)
+    # full rank: eigh's output bit for bit
+    S = S + np.eye(4)
+    w0, V0 = np.linalg.eigh(S)
+    w, V = linalg.floored_eigh(S)
+    assert np.array_equal(w, w0) and np.array_equal(V, V0)
+
+
 def test_matrix_fn_support_cutoff():
     # rank-1 projector: log is 0 on the support, kernel untouched
     P = np.diag([1.0, 0.0]).astype(complex)

@@ -550,7 +550,7 @@ def test_ppt_state_certified_zero_by_one_lmo(call, make):
 def test_frank_wolfe_start_rule(monkeypatch, call):
     starts = []
 
-    def recorded(grad, sigma0, dims, gap_tol, max_iter):
+    def recorded(grad, sigma0, dims):
         starts.append(sigma0)
         return sigma0, 0.0, 1, True
     monkeypatch.setattr(rains, "_frank_wolfe", recorded)
@@ -568,12 +568,12 @@ def test_frank_wolfe_start_rule(monkeypatch, call):
 def test_rains_relative_entropy_evaluates_value_once(monkeypatch):
     # Frank-Wolfe steps from gradients alone; only the final sigma is valued
     calls = []
-    value = rains._safe_rel_ent
+    value = rains.relative_entropy
 
     def counted(R, sigma):
         calls.append(sigma)
         return value(R, sigma)
-    monkeypatch.setattr(rains, "_safe_rel_ent", counted)
+    monkeypatch.setattr(rains, "relative_entropy", counted)
     rho, dims = _nearly_pure_qubit_product()
     res = rains.rains_relative_entropy(rho, dims)
     assert len(calls) == 1 and calls[0] is res["sigma"]
@@ -593,7 +593,7 @@ def test_line_minimum_interior():
         # R near the segment's midpoint puts the minimum inside it
         R = 0.8 * (sigma + d / 2) + 0.2 * R
         grad = lambda s: rains._rel_ent_gradient(R, s)
-        f = lambda t: rains._safe_rel_ent(R, sigma + t * d)
+        f = lambda t: im.relative_entropy(R, sigma + t * d)
         cap = 1.0
         t = rains._line_minimum(grad, sigma, d, cap)
         assert 0 < t < cap
@@ -609,25 +609,6 @@ def test_line_minimum_endpoint():
     slope = np.real(np.vdot(grad(sigma + cap * d), d))
     assert slope <= 0
     assert rains._line_minimum(grad, sigma, d, cap) == cap
-
-
-def test_safe_rel_ent_matches_eigenpair_loop():
-    def loop(R, sigma, floor=1e-14):
-        wr = np.linalg.eigvalsh(R)
-        cut = 1e-12 * max(wr.max(), 1e-300)
-        t1 = sum(v * np.log2(v) for v in wr if v > cut)
-        ws, Vs = np.linalg.eigh(sigma)
-        ws = np.maximum(ws, floor * max(ws.max(), 1e-300))
-        t2 = sum(np.log2(mu) * float(np.real(v.conj() @ R @ v))
-                 for mu, v in zip(ws, Vs.T))
-        return float(t1 - t2)
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        d = int(rng.integers(2, 10))
-        # random ranks: sigma is often rank-deficient, so the floor acts
-        R = qcore.random_density(d, rng, rank=int(rng.integers(1, d + 1))).matrix
-        S = qcore.random_density(d, rng, rank=int(rng.integers(1, d + 1))).matrix
-        assert abs(rains._safe_rel_ent(R, S) - loop(R, S)) <= 1e-13
 
 
 def test_rains_orderings(rng):
