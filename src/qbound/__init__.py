@@ -10,10 +10,19 @@ Submodules:
   dynamics     Lindblad evolution, entropy-rate witnesses, diamond norms
   reading      memory-cell capacities, privacy and security parameters
   cli          command-line driver (entry point: qbound)
+
+Submodules load on first access: ``import qbound`` loads none of them and
+no numpy, and ``qbound.rains`` imports rains when it is first read.
 """
-from . import dynamics, infomeasures, linalg, qcore, rains, reading, sdp
+import importlib
 
 __version__ = "0.1.0"
 
 __all__ = ["linalg", "sdp", "qcore", "infomeasures", "rains", "dynamics",
            "reading", "__version__"]
+
+
+def __getattr__(name):
+    if name in __all__:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

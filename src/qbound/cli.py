@@ -16,10 +16,14 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-import numpy as np
+# One BLAS thread unless the caller sets a count: the thread count changes
+# the last bits of some SDP results, and OpenBLAS reads it when numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import dynamics, qcore, rains, reading
-from . import infomeasures as im
+import numpy as np  # noqa: E402
+
+from . import dynamics, qcore, rains, reading  # noqa: E402
+from . import infomeasures as im  # noqa: E402
 
 
 def _num(s):

@@ -14,7 +14,6 @@ All values are in bits. PPT'(A:B) = {sigma >= 0, ||T_B sigma||_1 <= 1}.
 import functools
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import linalg, sdp
 from .infomeasures import (binary_entropy, relative_entropy,
@@ -359,6 +358,7 @@ def _line_minimum(grad, sigma, d, cap):
     """argmin over [0, cap] of a convex f(sigma + t d) whose slope
     phi'(t) = Re<grad(sigma + t d), d> is negative at 0: cap when
     phi'(cap) <= 0, else the root of phi' by brentq to xtol 1e-14."""
+    from scipy.optimize import brentq
     slope = lambda t: float(np.real(np.vdot(grad(sigma + t * d), d)))
     if slope(cap) <= 0:
         return cap
@@ -456,7 +456,8 @@ def sandwiched_rains(rho, dims, alpha):
     rho/||T_B rho||_1 is again the minimizer, with value 0, because the
     sandwiched divergence is >= -log2 Tr sigma >= 0 on PPT' as well. The
     value is the objective whose gradient Frank-Wolfe follows, not
-    infomeasures.sandwiched_renyi, which is D(rho||sigma) near alpha = 1.
+    infomeasures.sandwiched_renyi, which is D(rho||sigma) for
+    |alpha - 1| <= 1e-7.
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")

@@ -8,7 +8,6 @@ certificate all live here. Capacities and rates are in bits.
 import math
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import linalg
 from .infomeasures import (_relative_entropies, cq_state, entropy, g_fn,
@@ -239,6 +238,7 @@ def second_order_bound(states, n, eps, probs=None):
 
     :raises ArithmeticError: when Blahut-Arimoto does not converge.
     """
+    from scipy.special import ndtri
     if n < 1 or not 0 < eps < 1:
         raise ValueError("require n >= 1 and eps in (0,1)")
     states = [as_matrix(s) for s in states]

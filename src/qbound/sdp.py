@@ -64,7 +64,6 @@ import copy
 import functools
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack
 
 DEFAULT_TOL = 1e-8
 MAX_ITER = 200
@@ -201,6 +200,7 @@ def _presolve(A):
         dropped rows' right-hand sides in b differ from those the kept rows
         predict by more than 1e-7 max(1, max|b|).
     """
+    from scipy.linalg import cho_solve, lapack
     m = len(A)
     G = A @ A.T
     d = np.sqrt(G.diagonal())
@@ -234,6 +234,7 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         dual_multipliers holds one multiplier per row of p.A, zero on rows
         the presolve dropped.
     """
+    from scipy.linalg import lapack
     if not 1e-12 <= tol <= 1e-4:
         raise ValueError("tol out of range")
     blocks = p.blocks

@@ -1,4 +1,7 @@
 import os
+import pathlib
+import subprocess
+import sys
 
 # One BLAS thread unless the caller sets a count: the suite's SDPs are too
 # small to gain from threads, and OpenBLAS must read this before it loads.
@@ -31,3 +34,14 @@ def random_channel(din, dout, env, rng):
     V = haar_isometry(dout * env, din, rng)
     K = [V.reshape(dout, env, din)[:, e, :] for e in range(env)]
     return KrausChannel(K)
+
+
+def fresh_python(*args, **env):
+    """Run a fresh interpreter on qbound's sources with OPENBLAS_NUM_THREADS
+    unset unless given in env; return its stdout."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    base = {k: v for k, v in os.environ.items()
+            if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, *args],
+                          env=dict(base, PYTHONPATH=str(src), **env),
+                          capture_output=True, check=True).stdout

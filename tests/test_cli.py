@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qbound import cli, reading, sdp
+from conftest import fresh_python
 
 
 def run(capsys, *argv):
@@ -252,3 +253,15 @@ def test_sweep_bytes_independent_of_threads(monkeypatch, capsys, cmd):
         outputs.append(run(capsys, *cmd))
     assert outputs[0][0] == 0
     assert outputs[0] == outputs[1]
+
+
+def test_output_independent_of_blas_environment():
+    # the CLI pins one BLAS thread before numpy loads: unset, OpenBLAS would
+    # take one per core and change the last bits of the SDP values
+    cnot = ["-m", "qbound.cli", "rains-bidir", "--channel", "cnot"]
+    assert fresh_python(*cnot) == fresh_python(*cnot, OPENBLAS_NUM_THREADS="1")
+    # in two worker threads the solver's deferred scipy import runs first
+    # in the workers, a path no in-process call reaches
+    sweep = ["-m", "qbound.cli", "rains-bidir", "--p-grid", "0:1:5"]
+    assert fresh_python(*sweep, QBOUND_THREADS="2") \
+        == fresh_python(*sweep, QBOUND_THREADS="1")

@@ -78,6 +78,20 @@ def test_renyi_orderings(rng):
     assert im.sandwiched_renyi(rho, sigma, 1.00001) == pytest.approx(D, abs=1e-3)
 
 
+def test_sandwiched_renyi_continuous_near_one():
+    # the limit D(rho||sigma) serves only |alpha - 1| <= 1e-7; with the cut
+    # at 1e-4 the value jumped 3.1e-5 on this pair over a step of 1e-8 in
+    # alpha, where it should change by the alpha-slope (0.31) times 1e-8
+    rng = np.random.default_rng(0)
+    rho, sigma = rand_state(3, rng), rand_state(3, rng)
+    f = lambda a: im.sandwiched_renyi(rho, sigma, a)
+    slope = (f(1.0002) - f(1.0001)) / 1e-4
+    assert abs(f(1.00010001) - f(1.0001) - slope * 1e-8) <= 1e-9
+    for side in (1, -1):
+        assert f(1 + side * 0.9e-7) == im.relative_entropy(rho, sigma)
+        assert abs(f(1 + side * 1.1e-7) - f(1 + side * 0.9e-7)) <= 1e-7
+
+
 def test_renyi_classical_oracle():
     p, q = np.array([0.3, 0.7]), np.array([0.6, 0.4])
     a = 2.0
