@@ -56,12 +56,17 @@ def _relative_entropies(states, sigma, neg_entropies, base):
     """
     D(rho_x||sigma) for a (m, d, d) stack of states, from one
     eigendecomposition of sigma and the states' -S(rho_x) = Tr rho_x log
-    rho_x. An entry is inf when its state has weight above 1e-10 outside
-    the support of sigma.
+    rho_x. For states and sigma diagonal in one basis, states may be the
+    (m, d) diagonals and sigma the (d,) diagonal, which are their weights
+    and eigenvalues, so no eigendecomposition is made. An entry is inf
+    when its state has weight above 1e-10 outside the support of sigma.
     """
-    ws, Vs = np.linalg.eigh(sigma)
-    # weights of each rho_x on the eigenvectors of sigma
-    r = np.real(np.sum(Vs.conj() * (states @ Vs), axis=-2))
+    if sigma.ndim == 1:
+        ws, r = sigma, states
+    else:
+        ws, Vs = np.linalg.eigh(sigma)
+        # weights of each rho_x on the eigenvectors of sigma
+        r = np.real(np.sum(Vs.conj() * (states @ Vs), axis=-2))
     sup = ws > linalg.SUPPORT_CUT * max(abs(ws).max(), 1e-300)
     # Tr rho_x log sigma on the support of sigma, from contiguous rows so
     # that each sums pairwise as a single state's does

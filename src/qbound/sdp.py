@@ -4,34 +4,44 @@ Equality-form programs  min <C,X>  s.t.  <A_i,X> = b_i,  X >= 0 (block
 diagonal) are solved with a primal-dual Mehrotra predictor-corrector
 interior-point method. The constraints are one (m, sum_b n_b^2) matrix A:
 row i is A_i with its blocks flattened row-major and concatenated in block
-order; Model.compile writes it and the presolve reads it as it is. The
-solver takes real data only: Model.compile writes Hermitian data in the
-real symmetric embedding H -> [[Re H, -Im H], [Im H, Re H]] of each block.
+order; Model.compile writes it with symmetric blocks, and the solver reads
+only the symmetric part of each block. The solver takes real data only:
+Model.compile writes Hermitian data in the real symmetric embedding
+H -> [[Re H, -Im H], [Im H, Re H]] of each block.
 
 The constraint side is prepared once per constraint matrix: the first
-solve presolves A and copies the kept rows' columns once, in size-class
-order, as one (m, N) matrix F (A itself when every row is kept and that
-order is A's), and keeps it in a memo that later solves read. The memo is
-a function of the blocks and A alone; the objective C and the right-hand
-sides b are read on each solve, which also checks b against the rows the
-presolve dropped. Model.compile builds A once until a variable or
-constraint is added, and Model.with_data copies a model with a new
-objective or new right-hand sides, so the problems of one model structure
-share A and that memo. A problem's A must therefore not be mutated after
-construction.
+solve replaces each block of each row of A by its symmetric part,
+presolves the result, copies the kept rows once in column layout, their
+entries in size-class order, as one contiguous (N, m) matrix Ft, and keeps
+it in a memo that later solves read. Ft is the solver's one dense copy of
+the constraints beside A; F = Ft.T is the (m, N) view that the residual
+products read. Each size class also keeps a (k, n, n m) view of its
+entries of Ft and a scipy.sparse CSR copy of them, one row per
+constraint. The memo is a function of the blocks and A alone; the
+objective C and the right-hand sides b are read on each solve, which also
+checks b against the rows the presolve dropped. Model.compile builds A
+once until a variable or constraint is added, and Model.with_data copies
+a model with a new objective or new right-hand sides, so the problems of
+one model structure share A and that memo. A problem's A must therefore
+not be mutated after construction.
 
 Each iterate X, Z, the dual residual and each direction is one flat vector
 in size-class order, which each class reads as a (k, n, n) view, so
-<A_i, V> for all i is one product with F and sum_i y_i A_i one more. Each
-iteration factors every X and Z block once, by one batched Cholesky and
-inverse per size class on the class's X and Z stacks together, and Z^{-1}
-and the step-length search reuse those factors; one batched eigvalsh per
-size class gives the primal and the dual step together, and the Schur
-complement takes one batched product per class. Sums across blocks are
-added in size-class order. A matrix is shifted only after its Cholesky
-fails: a stack is then factored block by block, an X or Z block lifted by
-a multiple of the identity, and the Schur complement M solved by least
-squares on M + 1e-10 I.
+<A_i, V> for all i is one product with F and sum_i y_i A_i one more; as
+the rows are symmetric, V need not be. Each iteration factors every X and
+Z block once, by one batched Cholesky and inverse per size class on the
+class's X and Z stacks together, and Z^{-1} and the step-length search
+reuse those factors; one batched eigvalsh per size class gives the primal
+and the dual step together. The Schur complement M_ij = <A_i, Z^{-1} A_j X>
+is the F2 formula of Fujisawa, Kojima and Nakata (Math. Program. 79,
+1997): dense products for every A_j, sparse inner products with A_i. Per
+size class, one batched product makes Z^{-1} A_j and one more Z^{-1} A_j X
+for every j, into two (k, n, n, m) work stacks made once per solve, and
+the class's CSR rows contract them; the rows of the Rains programs are
+93-99.6 % zeros. Sums across blocks are added in size-class order. A
+matrix is shifted only after its Cholesky fails: a stack is then factored
+block by block, an X or Z block lifted by a multiple of the identity, and
+the Schur complement M solved by least squares on M + 1e-10 I.
 
 Each iteration scores its iterate by the merit max(relative gap, primal
 residual, dual residual). When the best merit has not improved for
@@ -77,7 +87,10 @@ class SDPProblem:
     blocks: list of block dimensions n_b.
     C: list of per-block real symmetric objective matrices.
     A: (m, sum_b n_b^2) real constraint matrix. Row i is constraint i: its
-       blocks flattened row-major and concatenated in block order.
+       blocks flattened row-major and concatenated in block order. As X is
+       symmetric, only the symmetric part of each block counts: the solver
+       replaces every block by (A_b + A_b^T)/2, so a problem with
+       non-symmetric blocks is solved as its symmetrized problem.
     b: right-hand sides.
     Complex A or C raises ValueError; Model.compile embeds Hermitian data.
 
@@ -151,39 +164,68 @@ def _prepare(p):
     """The constraint side of p, derived from its blocks and A once and
     memoized in p._memo: (keep, inconsistent, layout), the presolve's kept
     rows and its test of b (None when it keeps every row; see _presolve),
-    and for a program that keeps a row the (order, spans, F, Fc, pos,
-    starts, eye, normA) that solve iterates with, else None. Nothing in it
-    reads b or C, so problems that differ only there may share it. Threads
-    that both find the memo empty derive equal values and use the one
-    stored first."""
+    and for a program that keeps a row the (order, spans, Ft, classes, pos,
+    starts, eye, normA) that solve iterates with, else None. Ft is the
+    solver's one dense copy of the kept rows, in column layout: column i
+    is row i of A with each block replaced by its symmetric part, its
+    entries in size-class order. <A_i, X> is the same for symmetric X, and
+    the presolve tests the symmetrized rows, which are the ones solve uses.
+    classes holds per size class a (k, n, n m) view of its entries of Ft
+    and a scipy.sparse CSR copy of the same entries, transposed, for the
+    Schur complement (see _schur_complement). Nothing in it reads b or C,
+    so problems that differ only there may share it. Threads that both
+    find the memo empty derive equal values and use the one stored
+    first."""
     prep = p._memo.get("prepared")
     if prep is not None:
         return prep
-    keep, inconsistent = _presolve(p.A)
+    from scipy.sparse import csr_array
+    blocks = p.blocks
+    offsets = np.cumsum([0] + [n * n for n in blocks])
+    parts = [p.A[:, o:o + n * n].reshape(-1, n, n)
+             for o, n in zip(offsets, blocks)]
+    A = np.concatenate([(V + V.transpose(0, 2, 1)).reshape(-1, n * n) / 2
+                        for V, n in zip(parts, blocks)], 1)
+    keep, inconsistent = _presolve(A)
     layout = None
     if len(keep):
-        blocks = p.blocks
-        classes = _size_classes(blocks)
+        m, groups = len(keep), _size_classes(blocks)
         # the blocks in class order; class c is entries spans[c] = (o, k, n)
         # of a flat vector, read as a (k, n, n) stack, block b is its entry
         # pos[b], and starts holds each block's first entry, in class order
-        order = np.concatenate([i for _, i, _ in classes])
-        if len(keep) < len(p.A) or np.any(order != np.arange(len(order))):
-            F = p.A[np.ix_(keep, np.concatenate([c for _, _, c in classes]))]
-        else:  # every row, blocks in class order: F is A, not a copy
-            F = np.ascontiguousarray(p.A)
-        sizes = [n for n, _, _ in classes]
-        offs = np.cumsum([0] + [len(cols) for _, _, cols in classes])
+        order = np.concatenate([i for _, i, _ in groups])
+        Ft = np.ascontiguousarray(
+            A.T[np.ix_(np.concatenate([c for _, _, c in groups]), keep)])
+        sizes = [n for n, _, _ in groups]
+        offs = np.cumsum([0] + [len(cols) for _, _, cols in groups])
         spans = [(int(offs[c]), len(i), n)
-                 for c, (n, i, _) in enumerate(classes)]
+                 for c, (n, i, _) in enumerate(groups)]
         pos = [(sizes.index(n), blocks[:i].count(n))
                for i, n in enumerate(blocks)]
         starts = np.cumsum([0] + [blocks[bi] ** 2 for bi in order[:-1]])
         eye = np.concatenate([np.eye(blocks[bi]).ravel() for bi in order])
-        normA = max(1.0, np.sqrt(np.add.reduceat(F * F, starts, 1).max()))
-        Fc = [F[:, o:o + k * n * n] for o, k, n in spans]  # views of F
-        layout = (order, spans, F, Fc, pos, starts, eye, normA)
+        normA = max(1.0, np.sqrt(np.add.reduceat(Ft * Ft, starts).max()))
+        classes = [(Ft[o:o + k * n * n].reshape(k, n, n * m),
+                    csr_array(Ft[o:o + k * n * n].T)) for o, k, n in spans]
+        layout = (order, spans, Ft, classes, pos, starts, eye, normA)
     return p._memo.setdefault("prepared", (keep, inconsistent, layout))
+
+
+def _schur_complement(classes, Xs, Zi, work):
+    """The Schur complement M_ij = Tr(A_i X A_j Z^{-1}) of the symmetric
+    rows in classes (as _prepare makes them), from the (k, n, n) stacks Xs
+    of X and Zi of Z^{-1} of each size class. work holds each class's two
+    (k, n, n, m) work stacks: one batched product writes Z^{-1} A_j to the
+    first, for every j at once, and one more Z^{-1} A_j X to the second.
+    The class's CSR rows then add M_ij = <A_i, Z^{-1} A_j X>, which is the
+    trace above because A_i is symmetric."""
+    m = classes[0][1].shape[0]
+    M = np.zeros((m, m))
+    for (Fv, S), Xc, Zic, (W, V) in zip(classes, Xs, Zi, work):
+        np.matmul(Zic, Fv, out=W.reshape(Fv.shape))
+        np.matmul(Xc[:, None], W, out=V)
+        M += S @ V.reshape(-1, m)
+    return (M + M.T) / 2
 
 
 def _presolve(A):
@@ -251,7 +293,8 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         # programs never hit this, return the trivial point
         return SDPSolution(0.0, 0.0, [np.zeros((n, n)) for n in blocks],
                            y_all, 0.0, "optimal")
-    order, spans, F, Fc, pos, starts, eye, normA = layout
+    order, spans, Ft, classes, pos, starts, eye, normA = layout
+    F = Ft.T  # row i is A_i (symmetrized), for the residual products
 
     def views(v):
         # the (k, n, n) stack of each size class in flat vector v
@@ -268,10 +311,10 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
     Z = max(10.0, np.sqrt(ntot), normC, normA) * eye
     y = np.zeros(m)
     eyes = views(eye)
-    # the Schur complement's two (m, k, n, n) work stacks per size class,
+    # the Schur complement's two (k, n, n, m) work stacks per size class,
     # made once per solve: made each iteration, the allocator may give
     # their pages back to the system and fault them in again every time
-    work = [np.empty((2, m, k, n, n)) for _, k, n in spans]
+    work = [np.empty((2, k, n, n, m)) for _, k, n in spans]
 
     def inv_factor(V):
         # inverse Cholesky factors of a stack, or block by block if one fails;
@@ -328,14 +371,7 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
         Zi = [Li.transpose(0, 2, 1) @ Li
               for Li in (Lc[len(Xc):] for Lc, Xc in zip(L, Xs))]
 
-        # Schur complement M_ij = Tr(A_i X A_j Z^{-1}), one product per class
-        M = np.zeros((m, m))
-        for Fb, Xc, Zic, (W, V) in zip(Fc, Xs, Zi, work):
-            np.matmul(Zic[None], Fb.reshape(V.shape), out=W)
-            np.matmul(W, Xc[None], out=V)
-            np.copyto(W, V.transpose(0, 1, 3, 2))
-            M += W.reshape(m, -1) @ Fb.T
-        M = (M + M.T) / 2
+        M = _schur_complement(classes, Xs, Zi, work)
         factor, info = lapack.dpotrf(M)
         if info < 0:
             raise ValueError("dpotrf: illegal argument %d" % -info)
@@ -350,11 +386,10 @@ def solve(p, tol=DEFAULT_TOL, max_iter=MAX_ITER):
             solve_M = lambda rhs: Vt.T @ ((U.T @ rhs) / s)
 
         def direction(Rc):
-            # the step for complementarity residual Rc (per size class); T is
-            # not symmetric, so <A_i, T> reads each class view transposed
+            # the step for complementarity residual Rc (per size class)
             T = [(Rcc - Xc @ Rdc) @ Zic
                  for Rcc, Xc, Rdc, Zic in zip(Rc, Xs, Rds, Zi)]
-            dy = solve_M(rp - F @ flat(t.transpose(0, 2, 1) for t in T))
+            dy = solve_M(rp - F @ flat(T))
             dZ = Rd - dy @ F
             dX = [(Rcc - Xc @ dZc) @ Zic
                   for Rcc, Xc, dZc, Zic in zip(Rc, Xs, views(dZ), Zi)]

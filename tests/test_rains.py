@@ -388,19 +388,34 @@ def test_builders_compile_once_per_structure(monkeypatch, name):
             assert np.array_equal(sigma, _lmo_uncached(G, (2, 2)))
 
 
-@pytest.mark.parametrize("build, key, shared", [
-    (rains._ppt_prime_program, ((2, 2),), True),
-    (rains._rmax_state_program, ((4, 4),), True),
-    (rains._inf_norm_program, ((2, 2, 2, 2), (0, 3), (2, 3), True), False),
+@pytest.mark.parametrize("build, key", [
+    (rains._ppt_prime_program, ((2, 2),)),
+    (rains._rmax_state_program, ((4, 4),)),
+    (rains._inf_norm_program, ((2, 2, 2, 2), (0, 3), (2, 3), True)),
 ])
-def test_prepared_constraints_share_A_when_nothing_is_permuted(build, key,
-                                                                 shared):
-    # F is A itself when every row is kept in block order; the reduced
-    # bidirectional dual reorders its blocks, so it keeps a copy
-    p = build(*key)[0].compile()
-    F = sdp._prepare(p)[2][2]
-    assert np.shares_memory(F, p.A) is shared
-    assert np.array_equal(F, p.A) is shared
+def test_memo_built_once_per_structure(monkeypatch, build, key):
+    # the first solve's _prepare makes the one dense column-layout copy Ft
+    # and one CSR copy per size class; a with_data copy gets those objects
+    import scipy.sparse
+    made = []
+    csr_array = scipy.sparse.csr_array
+    monkeypatch.setattr(scipy.sparse, "csr_array",
+                        lambda a: made.append(a.shape) or csr_array(a))
+    model = build(*key)[0]
+    p = model.compile()
+    keep, _, layout = sdp._prepare(p)
+    _, spans, Ft, classes, *_ = layout
+    m, N = len(keep), p.A.shape[1]
+    assert made == [(m, k * n * n) for _, k, n in spans]
+    assert Ft.shape == (N, m) and Ft.flags.c_contiguous
+    assert not np.shares_memory(Ft, p.A)
+    for (o, k, n), (view, S) in zip(spans, classes):
+        assert view.shape == (k, n, n * m) and view.base is Ft
+        assert np.array_equal(S.toarray(), Ft[o:o + k * n * n].T)
+    # the same memo, so the same Ft and CSR objects, and nothing rebuilt
+    again = model.with_data().compile()
+    assert sdp._prepare(again) is sdp._prepare(p)
+    assert len(made) == len(spans)
 
 
 _THREADED = {  # name in _BUILDERS: its inputs

@@ -206,6 +206,24 @@ def test_blahut_arimoto_matches_per_state_loop():
         assert np.abs(out["p"] - p).max() <= 1e-10
 
 
+def test_blahut_arimoto_on_diagonals(monkeypatch):
+    # thermal states are diagonal in the number basis, so every iteration
+    # works on the diagonals and makes no eigendecomposition; one
+    # off-diagonal entry takes the matrix path, one eigh per iteration
+    cut = max(reading.fock_cutoff(N) for N in (0.1, 2.0))
+    states = [reading.thermal_state(N, cut) for N in (0.1, 2.0)]
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: calls.append(a.shape) or eigh(a))
+    out = reading.blahut_arimoto(states)
+    assert out["converged"] and out["iterations"] == 33 and calls == []
+    states[1] = states[1].copy()
+    states[1][0, 1] = states[1][1, 0] = 1e-3
+    out = reading.blahut_arimoto(states)
+    assert out["converged"] and len(calls) == out["iterations"]
+
+
 def test_fock_cutoff_definition():
     for N in (0.5, 1.0, 5.0):
         m = reading.fock_cutoff(N)

@@ -79,6 +79,79 @@ def test_presolve_drops_dependent_rows():
     assert abs(sol.primal_value - 1.0) < 1e-7
 
 
+def _spd_blocks(blocks, rng):
+    out = []
+    for n in blocks:
+        G = rng.standard_normal((n, n))
+        out.append(G @ G.T + 0.1 * np.eye(n))
+    return out
+
+
+def _rows(stacks):
+    """A in SDPProblem's layout from one (m, n, n) stack per block."""
+    return np.concatenate([S.reshape(len(S), -1) for S in stacks], 1)
+
+
+def _symmetric(S):
+    return S + S.transpose(0, 2, 1)
+
+
+def test_non_symmetric_rows_solve_as_symmetrized(rng):
+    """A raw problem whose rows have non-symmetric blocks has the value of
+    the problem of their symmetric parts, which X >= 0 cannot tell apart;
+    rows equal up to an antisymmetric part are presolved as one."""
+    blocks = [3, 2]
+    E = np.zeros((2, 3, 3))
+    E[0, 0, 1] = E[1, 1, 0] = 1.0  # E_01 and E_10: one constraint
+    sym = [np.concatenate([np.eye(3)[None], np.zeros((1, 3, 3)),
+                           _symmetric(rng.standard_normal((3, 3, 3))),
+                           _symmetric(E) / 2]),
+           np.concatenate([np.zeros((1, 2, 2)), np.eye(2)[None],
+                           _symmetric(rng.standard_normal((3, 2, 2))),
+                           np.zeros((2, 2, 2))])]
+    K = rng.standard_normal((5, 3, 3))
+    raw = [np.concatenate([sym[0][:5] + K - K.transpose(0, 2, 1), E]),
+           sym[1]]
+    X0 = _spd_blocks(blocks, rng)
+    b = sum(np.einsum("ijk,jk->i", S, Xb) for S, Xb in zip(sym, X0))
+    C = _spd_blocks(blocks, rng)
+    p, q = (sdp.SDPProblem(blocks, C, _rows(A), b) for A in (raw, sym))
+    assert not np.array_equal(p.A, q.A)
+    sp, sq = sdp.solve(p), sdp.solve(q)
+    assert sp.status == sq.status == "optimal"
+    assert abs(sp.primal_value - sq.primal_value) <= 1e-9
+    assert len(sdp._prepare(p)[0]) == len(sdp._prepare(q)[0]) == 6
+
+
+@pytest.mark.parametrize("program", ["raw", "reduced bidirectional dual"])
+def test_schur_complement_matches_trace_definition(rng, program):
+    """The per-class assembly equals sum over blocks of Tr(A_i X A_j Z^-1)
+    on random positive definite X and Z, over several size classes."""
+    if program == "raw":
+        blocks = [3, 2, 3, 4, 2]
+        A = _rows([_symmetric(rng.standard_normal((9, n, n)))
+                   for n in blocks])
+        p = sdp.SDPProblem(blocks, [np.zeros((n, n)) for n in blocks], A,
+                           np.zeros(9))
+    else:
+        p = rains._inf_norm_program((2, 2, 2, 2), (0, 3), (2, 3),
+                                    True)[0].compile()
+    keep, _, (_, spans, _, classes, *_) = sdp._prepare(p)
+    assert len(spans) >= 2
+    X, Z = _spd_blocks(p.blocks, rng), _spd_blocks(p.blocks, rng)
+    by_class = [idx for _, idx, _ in sdp._size_classes(p.blocks)]
+    Xs = [np.array([X[b] for b in idx]) for idx in by_class]
+    Zi = [np.linalg.inv([Z[b] for b in idx]) for idx in by_class]
+    work = [np.empty((2, k, n, n, len(keep))) for _, k, n in spans]
+    M = sdp._schur_complement(classes, Xs, Zi, work)
+    offsets = np.cumsum([0] + [n * n for n in p.blocks])
+    ref = sum(np.einsum("iab,bc,jcd,da->ij", Ab, Xb, Ab, np.linalg.inv(Zb))
+              for Ab, Xb, Zb in zip(
+                  (p.A[keep, o:o + n * n].reshape(-1, n, n)
+                   for o, n in zip(offsets, p.blocks)), X, Z))
+    assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_presolve_memo_shared_across_right_hand_sides():
     # the memo holds the presolve's kept rows, not its verdict on one b: a
     # second right-hand side that contradicts a dropped row is caught
