@@ -119,37 +119,38 @@ def sandwiched_renyi(rho, sigma, alpha):
     return float(logtr / ((alpha - 1) * np.log(2)))
 
 
-def sandwiched_objective(sigma, probs, states, alpha):
+def sandwiched_objective(sigma, probs, states, alpha, eig=None):
     """
-    Floored sandwiched objective log2(sum_x p_x Tr{Q_x^alpha}) / (alpha-1),
-    Q_x = sigma^e rho_x sigma^e with e = (1-alpha)/(2 alpha), and its
-    gradient in sigma, for the first-order minimizations over sigma.
+    Floored sandwiched objective log2(sum_x p_x Tr{Q_x^alpha}) / (alpha-1)
+    for alpha > 1, Q_x = sigma^e rho_x sigma^e with e = (1-alpha)/(2 alpha),
+    and its gradient in sigma, for the first-order minimizations over sigma.
 
     With one state it is D_alpha(rho||sigma); over a cq ensemble it is the
-    divergence between the joint state and p (x) sigma. The eigenvalues of
-    sigma are floored by linalg.floored_eigh, and those of Q_x
-    below 1e-16 times the largest count as zero. The gradient is
-    alpha D(sigma^e)[sum_x p_x (rho_x sigma^e Q_x^(alpha-1) + h.c.)]
-    / ((alpha-1) ln 2 sum_x p_x Tr{Q_x^alpha}), with D the Frechet
+    divergence between the joint state and p (x) sigma. sigma enters only
+    through its floored eigenpairs: eig = (w, V) when the caller already
+    holds them, floored by linalg.floored, else linalg.floored_eigh(sigma).
+    The Q_x with p_x > 0 are eigendecomposed in one batched call, and their
+    eigenvalues below 1e-16 times each one's largest count as zero. The
+    gradient is alpha D(sigma^e)[sum_x p_x (rho_x sigma^e Q_x^(alpha-1)
+    + h.c.)] / ((alpha-1) ln 2 sum_x p_x Tr{Q_x^alpha}), with D the Frechet
     derivative of x -> x^e (linalg.frechet_derivative).
 
     :return: (value in bits, Hermitian gradient).
     """
     e = (1 - alpha) / (2 * alpha)
-    ws, Vs = linalg.floored_eigh(sigma)
+    ws, Vs = linalg.floored_eigh(sigma) if eig is None else eig
     Se = (Vs * ws ** e) @ Vs.conj().T
-    tot = 0.0
-    K = np.zeros_like(Se)
-    for p, rho in zip(probs, states):
-        if p <= 0:
-            continue
-        R = as_matrix(rho)
-        q, U = np.linalg.eigh(Se @ R @ Se)
-        keep = q > 1e-16 * max(abs(q).max(), 1e-300)
-        q, U = q[keep], U[:, keep]
-        tot += p * np.sum(q ** alpha)
-        M = R @ Se @ (U * q ** (alpha - 1)) @ U.conj().T
-        K += p * (M + M.conj().T)
+    probs = np.asarray(probs, dtype=float)
+    on = probs > 0
+    p = probs[on]
+    R = np.array([as_matrix(s) for s, k in zip(states, on) if k])
+    q, U = np.linalg.eigh(Se @ R @ Se)
+    # the zeroed eigenvalues drop out of both sums, as alpha > 1
+    q = np.where(q > 1e-16 * np.maximum(abs(q).max(axis=1, keepdims=True),
+                                        1e-300), q, 0.0)
+    tot = np.sum(p * np.sum(q ** alpha, axis=1))
+    M = R @ Se @ (U * q[:, None, :] ** (alpha - 1)) @ U.conj().swapaxes(1, 2)
+    K = np.sum(p[:, None, None] * (M + M.conj().swapaxes(1, 2)), axis=0)
     dSe = linalg.frechet_derivative(ws, Vs, lambda x: x ** e,
                                     lambda x: e * x ** (e - 1), K)
     return (float(np.log2(tot) / (alpha - 1)),

@@ -52,11 +52,16 @@ def eigh(H):
 
 def floored_eigh(sigma):
     """np.linalg.eigh of a positive semidefinite sigma with its eigenvalues
-    raised to FLOOR times the largest: the one floor that the first-order
-    methods put under sigma, which keeps log sigma and negative powers of
-    sigma finite on its kernel."""
+    raised by floored: the one floor that the first-order methods put under
+    sigma, which keeps log sigma and negative powers of sigma finite on its
+    kernel."""
     w, V = np.linalg.eigh(sigma)
-    return np.maximum(w, FLOOR * max(w.max(), 1e-300)), V
+    return floored(w), V
+
+
+def floored(w):
+    """The eigenvalues w raised to FLOOR times the largest."""
+    return np.maximum(w, FLOOR * max(w.max(), 1e-300))
 
 
 def matrix_fn_on_support(H, f):

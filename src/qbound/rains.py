@@ -354,15 +354,19 @@ def _rel_ent_gradient(R, sigma):
     return -linalg.frechet_derivative(ws, Vs, np.log, np.reciprocal, R) / np.log(2)
 
 
-def _line_minimum(grad, sigma, d, cap):
+def _line_minimum(grad, sigma, d, cap, G):
     """argmin over [0, cap] of a convex f(sigma + t d) whose slope
     phi'(t) = Re<grad(sigma + t d), d> is negative at 0: cap when
-    phi'(cap) <= 0, else the root of phi' by brentq to xtol 1e-14."""
+    phi'(cap) <= 0, else the root of phi' by brentq to xtol 1e-14. G is
+    grad(sigma); brentq reads phi'(0) from it and phi'(cap) from the test
+    above, so each gradient it evaluates is at an interior point."""
     from scipy.optimize import brentq
     slope = lambda t: float(np.real(np.vdot(grad(sigma + t * d), d)))
-    if slope(cap) <= 0:
+    known = {0.0: float(np.real(np.vdot(G, d))), cap: slope(cap)}
+    if known[cap] <= 0:
         return cap
-    return brentq(slope, 0.0, cap, xtol=1e-14)
+    return brentq(lambda t: known[t] if t in known else slope(t), 0.0, cap,
+                  xtol=1e-14)
 
 
 def _frank_wolfe(grad, sigma0, dims, gap_tol=1e-5, max_iter=500):
@@ -398,7 +402,7 @@ def _frank_wolfe(grad, sigma0, dims, gap_tol=1e-5, max_iter=500):
             d, cap = s - sigma, 1.0
         else:
             d, cap = sigma - atoms[k], weights[k] / (1 - weights[k])
-        t = _line_minimum(grad, sigma, d, cap)
+        t = _line_minimum(grad, sigma, d, cap, G)
         sigma = sigma + t * d
         if toward:
             atoms.append(s)
@@ -412,37 +416,43 @@ def _frank_wolfe(grad, sigma0, dims, gap_tol=1e-5, max_iter=500):
     return sigma, gap, max_iter, False
 
 
-def _start_point(R, dims):
-    """Frank-Wolfe's start in PPT' for the state R: R/||T_B R||_1 when
-    ||T_B R||_1 <= 1 + 1e-12, that is when R is PPT up to rounding, else
-    I/n. The threshold sits just above rounding (under 1e-15 on product
-    states), not at gap_tol: an NPT state of negativity 1e-6 started at
-    R/||T_B R||_1 stops at a value 2e4 times too large."""
+def _ppt_prime_minimum(R, dims, grad):
+    """min over PPT' of a divergence of the state R whose gradient in sigma
+    is grad, as the 4-tuple of _frank_wolfe.
+
+    When ||T_B R||_1 = c <= 1 + 1e-12, that is when R is PPT up to rounding,
+    sigma = R/c is in PPT' and is the minimizer: the divergence is
+    >= -log2 Tr sigma >= 0 on PPT' (Rains, IEEE TIT 47 (2001)) and is
+    log2 c at R/c, so R/c is returned with no Frank-Wolfe iteration and the
+    gap max(log2 c, 0), the width of [0, log2 c]. Otherwise Frank-Wolfe
+    starts at I/n. The threshold sits just above rounding (under 1e-15 on
+    product states), not at gap_tol: an NPT state of negativity 1e-6
+    started at R/||T_B R||_1 stops at a value 2e4 times too large."""
     c = linalg.schatten_norm(linalg.partial_transpose(R, dims, [1]), 1)
     if c <= 1 + 1e-12:
-        return R / c
+        return R / c, max(float(np.log2(c)), 0.0), 0, True
     n = R.shape[0]
-    return np.eye(n, dtype=complex) / n
+    return _frank_wolfe(grad, np.eye(n, dtype=complex) / n, dims)
 
 
 def rains_relative_entropy(rho, dims):
     """
     Rains relative entropy min D(rho||sigma) over PPT', by away-step
-    Frank-Wolfe (one PPT' linear-oracle SDP per iteration).
+    Frank-Wolfe (one PPT' linear-oracle SDP per iteration) from I/n.
 
-    It starts at rho/||T_B rho||_1 when rho is PPT up to rounding, else
-    at I/n. On a PPT state that start is the minimizer: it lies in PPT',
-    and D(rho||sigma) >= -log2 Tr sigma >= 0 on PPT' (Rains, IEEE TIT 47
-    (2001)), so the first LMO's gap certifies the value 0 after one
-    iteration.
+    A PPT state (||T_B rho||_1 <= 1 + 1e-12) takes no iteration and no
+    SDP: its minimizer is rho/||T_B rho||_1, with value 0 up to rounding
+    (_ppt_prime_minimum).
 
     :return: dict with value (infomeasures.relative_entropy of the final
         iterate, an upper bound on the true minimum), the final iterate,
-        the Frank-Wolfe duality-gap estimate, and a convergence flag.
+        the Frank-Wolfe duality-gap estimate (on a PPT state the width of
+        the certified interval [0, value]), the iteration count and a
+        convergence flag.
     """
     R = as_matrix(rho)
-    sigma, gap, its, ok = _frank_wolfe(lambda s: _rel_ent_gradient(R, s),
-                                       _start_point(R, dims), dims)
+    sigma, gap, its, ok = _ppt_prime_minimum(
+        R, dims, lambda s: _rel_ent_gradient(R, s))
     return {"value": relative_entropy(R, sigma), "sigma": sigma, "gap": gap,
             "iterations": its, "converged": ok}
 
@@ -452,19 +462,17 @@ def sandwiched_rains(rho, dims, alpha):
     Sandwiched Rains relative entropy over PPT' (alpha > 1), Frank-Wolfe
     with an analytic gradient.
 
-    It starts where rains_relative_entropy does. On a PPT state
-    rho/||T_B rho||_1 is again the minimizer, with value 0, because the
-    sandwiched divergence is >= -log2 Tr sigma >= 0 on PPT' as well. The
-    value is the objective whose gradient Frank-Wolfe follows, not
-    infomeasures.sandwiched_renyi, which is D(rho||sigma) for
+    It is minimized as rains_relative_entropy is: a PPT state takes no
+    iteration, because the sandwiched divergence is >= -log2 Tr sigma >= 0
+    on PPT' as well. The value is the objective whose gradient Frank-Wolfe
+    follows, not infomeasures.sandwiched_renyi, which is D(rho||sigma) for
     |alpha - 1| <= 1e-7.
     """
     if alpha <= 1:
         raise ValueError("alpha must exceed 1")
     R = as_matrix(rho)
     obj = lambda s: sandwiched_objective(s, [1.0], [R], alpha)
-    sigma, gap, its, ok = _frank_wolfe(lambda s: obj(s)[1],
-                                       _start_point(R, dims), dims)
+    sigma, gap, its, ok = _ppt_prime_minimum(R, dims, lambda s: obj(s)[1])
     return {"value": obj(sigma)[0], "sigma": sigma, "gap": gap,
             "iterations": its, "converged": ok}
 

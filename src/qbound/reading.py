@@ -262,9 +262,12 @@ def renyi_mutual_information(probs, states, alpha):
     """
     Sandwiched Renyi mutual information of a cq ensemble: minimum over
     sigma of the sandwiched divergence between the joint and
-    p (x) sigma, by exponentiated-gradient descent on sigma (log sigma
-    of linalg.floored_eigh), converged once the stationarity residual is
-    at most 1e-7; at most 5000 iterations.
+    p (x) sigma, by exponentiated-gradient descent on sigma, converged
+    once the stationarity residual is at most 1e-7; at most 5000
+    iterations. Each candidate exp(log sigma - eta G) / Tr is made from one
+    eigendecomposition (_expm_density), whose eigenpairs, floored by
+    linalg.floored, give both its objective and the next log sigma, so no
+    sigma is eigendecomposed again.
 
     :return: dict with value (bits), sigma, stationarity residual.
     """
@@ -274,7 +277,8 @@ def renyi_mutual_information(probs, states, alpha):
     states = [as_matrix(s) for s in states]
     d = states[0].shape[0]
     sigma = np.eye(d, dtype=complex) / d
-    val, G = sandwiched_objective(sigma, probs, states, alpha)
+    eig = np.full(d, 1.0 / d), np.eye(d, dtype=complex)
+    val, G = sandwiched_objective(sigma, probs, states, alpha, eig)
     eta = 1.0
     res = np.inf
     for it in range(1, 5001):
@@ -282,13 +286,13 @@ def renyi_mutual_information(probs, states, alpha):
         if res <= 1e-7:
             break
         stepped = False
-        ws, Vs = linalg.floored_eigh(sigma)
+        ws, Vs = eig
         L = (Vs * np.log(ws)) @ Vs.conj().T
         for _ in range(60):
-            cand = _expm_density(L - eta * G)
-            cval, cG = sandwiched_objective(cand, probs, states, alpha)
+            cand, ceig = _expm_density(L - eta * G)
+            cval, cG = sandwiched_objective(cand, probs, states, alpha, ceig)
             if cval <= val + 1e-15:
-                sigma, val, G = cand, cval, cG
+                sigma, eig, val, G = cand, ceig, cval, cG
                 eta = min(eta * 1.25, 1e3)
                 stepped = True
                 break
@@ -300,10 +304,13 @@ def renyi_mutual_information(probs, states, alpha):
 
 
 def _expm_density(H):
+    """The density operator exp(H) / Tr exp(H), and its eigenpairs from the
+    one eigendecomposition of H, the eigenvalues floored by linalg.floored."""
     ws, Vs = np.linalg.eigh((H + H.conj().T) / 2)
-    ws = ws - ws.max()
-    E = (Vs * np.exp(ws)) @ Vs.conj().T
-    return E / np.real(np.trace(E))
+    ws = np.exp(ws - ws.max())
+    E = (Vs * ws) @ Vs.conj().T
+    tr = np.real(np.trace(E))
+    return E / tr, (linalg.floored(ws / tr), Vs)
 
 
 def strong_converse_exponent(probs, states, R, alpha, n=1):

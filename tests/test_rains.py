@@ -551,13 +551,18 @@ _RAINS_CALLS = {
     lambda: _isotropic(0.5),
 ], ids=["rank-2 separable", "qubit pure product", "qutrit pure product",
         "isotropic F=1/2"])
-def test_ppt_state_certified_zero_by_one_lmo(call, make):
+def test_ppt_state_certified_zero_without_lmo(monkeypatch, call, make):
     # rho/||T_B rho||_1 is in PPT' and D >= -log2 Tr sigma >= 0 there, so
-    # the first gap certifies the minimum 0
+    # it is the minimizer, certified with no Frank-Wolfe iteration or SDP
+    def fail(*args, **kwargs):
+        raise AssertionError("a PPT state needs no Frank-Wolfe or LMO call")
+    monkeypatch.setattr(rains, "ppt_prime_lmo", fail)
+    monkeypatch.setattr(rains, "_frank_wolfe", fail)
     rho, dims = make()
     res = _RAINS_CALLS[call](rho, dims)
     assert res["converged"]
-    assert res["iterations"] == 1
+    assert res["iterations"] == 0
+    assert 0 <= res["gap"] <= 1.5e-12
     assert abs(res["value"]) <= 1e-9
 
 
@@ -575,9 +580,10 @@ def test_frank_wolfe_start_rule(monkeypatch, call):
     assert len(starts) == 2
     assert all(np.array_equal(s, np.eye(4) / 4) for s in starts)
     rho, dims = _nearly_pure_qubit_product()
-    _RAINS_CALLS[call](rho, dims)
+    res = _RAINS_CALLS[call](rho, dims)
+    assert len(starts) == 2
     c = linalg.schatten_norm(linalg.partial_transpose(rho, dims, [1]), 1)
-    assert np.array_equal(starts[-1], rho / c)
+    assert np.array_equal(res["sigma"], rho / c)
 
 
 def test_rains_relative_entropy_evaluates_value_once(monkeypatch):
@@ -610,7 +616,7 @@ def test_line_minimum_interior():
         grad = lambda s: rains._rel_ent_gradient(R, s)
         f = lambda t: im.relative_entropy(R, sigma + t * d)
         cap = 1.0
-        t = rains._line_minimum(grad, sigma, d, cap)
+        t = rains._line_minimum(grad, sigma, d, cap, grad(sigma))
         assert 0 < t < cap
         assert f(t) <= min(map(f, np.linspace(0, cap, 2001))) + 1e-12
 
@@ -623,7 +629,7 @@ def test_line_minimum_endpoint():
     cap = 0.3 / 0.7
     slope = np.real(np.vdot(grad(sigma + cap * d), d))
     assert slope <= 0
-    assert rains._line_minimum(grad, sigma, d, cap) == cap
+    assert rains._line_minimum(grad, sigma, d, cap, grad(sigma)) == cap
 
 
 def test_rains_orderings(rng):

@@ -291,6 +291,24 @@ def test_renyi_mutual_information_diagonal_oracle():
     assert out["value"] == pytest.approx(sc.fun, abs=1e-6)
 
 
+def test_renyi_mutual_information_no_second_eigendecomposition(monkeypatch):
+    # each candidate sigma comes with the eigenpairs it was built from, so
+    # the loop never eigendecomposes a sigma again
+    calls = []
+    floored_eigh = linalg.floored_eigh
+
+    def counted(sigma):
+        calls.append(sigma)
+        return floored_eigh(sigma)
+    monkeypatch.setattr(linalg, "floored_eigh", counted)
+    probs = [0.2, 0.5, 0.3]
+    states = [bloch_state(t, f) * 0.9 + 0.05 * np.eye(2)
+              for t, f in ((0.3, 0.0), (1.6, 0.4), (2.5, 2.0))]
+    out = reading.renyi_mutual_information(probs, states, 2.0)
+    assert out["converged"] and out["iterations"] > 1
+    assert not calls
+
+
 def test_renyi_mutual_information_identical_states():
     probs = [0.5, 0.5]
     states = [np.eye(2) / 2, np.eye(2) / 2]
