@@ -228,6 +228,13 @@ def cmd_private_rate(args):
 
 
 def cmd_secure_read(args):
+    # the q range of depolarizing(d, q = 1 - eta), or a GADC's eta in [0, 1]
+    dep = args.kind == "depolarizing" and args.d >= 2
+    top = args.d * args.d / (args.d * args.d - 1.0) if dep else 1.0
+    for flag, eta in (("--eta0", args.eta0), ("--eta1", args.eta1)):
+        if not (0 <= 1 - eta <= top if dep else 0 <= eta <= 1):
+            raise ValueError("%s must lie in [%g, 1], got %g"
+                             % (flag, 1 - top, eta))
     rep = reading.secure_reading_deltas(args.kind, args.q, args.N,
                                         args.eta0, args.eta1,
                                         d=args.d, theta=args.theta)

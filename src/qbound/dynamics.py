@@ -17,7 +17,8 @@ import math
 import numpy as np
 
 from . import infomeasures, linalg, sdp
-from .qcore import KrausChannel, as_matrix, choi_of, identity_channel
+from .linalg import as_matrix
+from .qcore import KrausChannel, choi_of, identity_channel
 
 
 def _const(x):
@@ -249,11 +250,7 @@ def witness_f(gen, t, rho):
     :param rho: one (d, d) state or a (k, d, d) stack.
     :return: a float, or an array of k values for a stack.
     """
-    R = as_matrix(rho)
-    Rh = R.swapaxes(-1, -2).conj()
-    if np.abs(R - Rh).max() > linalg.HERM_TOL * max(1.0, np.abs(R).max()):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    R = (R + Rh) / 2
+    R = linalg.check_hermitian(rho)
     rhodot = gen.apply(t, R)
     w, V = np.linalg.eigh(R)
     tiny = np.finfo(float).tiny
@@ -483,14 +480,14 @@ def depolarizing_nonunitarity(d, q):
     return 2 * q * (2 - q) * (1 - 1.0 / d ** 2)
 
 
-def unitarity_gap_check(ch, U, tol=1e-8):
+def unitarity_gap_check(ch, U):
     """
-    If M is diamond-close (distance delta) to a unitary channel then
-    its nonunitarity is at most sqrt(2 delta) + delta.
+    If M is diamond-close (distance delta) to a unitary channel then its
+    nonunitarity is at most sqrt(2 delta) + delta; both SDPs to tol 1e-8.
     """
     uch = KrausChannel([np.asarray(U, dtype=complex)])
-    delta = diamond_distance(ch, uch, tol=tol)
-    lhs = nonunitarity(ch, tol=tol)
+    delta = diamond_distance(ch, uch)
+    lhs = nonunitarity(ch)
     bound = math.sqrt(2 * delta) + delta
     return {"delta": delta, "nonunitarity": lhs, "bound": bound,
             "holds": lhs <= bound + 1e-7}

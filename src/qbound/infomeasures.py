@@ -3,15 +3,15 @@
 Entropies, relative entropies and their Renyi / max / hypothesis-testing
 relatives, mutual informations, the relative entropy variance, fidelity
 and trace distance, and the continuity / normalization inequality
-reports. Every entropic quantity carries an explicit base; support
-violations return math.inf rather than a large float.
+reports. Only entropy and relative_entropy take base 'bits' or 'nats'; the
+rest are in bits. Support violations return math.inf, not a large float.
 """
 import math
 
 import numpy as np
 
 from . import linalg, sdp
-from .qcore import as_matrix
+from .linalg import as_matrix
 
 INF = math.inf
 
@@ -157,12 +157,12 @@ def sandwiched_objective(sigma, probs, states, alpha, eig=None):
             alpha * dSe / ((alpha - 1) * np.log(2) * tot))
 
 
-def hypothesis_testing(rho, sigma, eps, tol=1e-8):
+def hypothesis_testing(rho, sigma, eps):
     """
-    eps-hypothesis-testing divergence, solved as an SDP.
+    eps-hypothesis-testing divergence, solved as an SDP to tolerance 1e-8.
 
     -log2 min Tr{Lambda sigma} over 0 <= Lambda <= 1, Tr{Lambda rho} >= 1-eps.
-    Returns inf when the optimal overlap with sigma vanishes.
+    Returns inf when the optimal overlap with sigma is below 1e-7 = 10 tol.
     """
     if not 0 <= eps < 1:
         raise ValueError("eps must be in [0, 1)")
@@ -174,47 +174,47 @@ def hypothesis_testing(rho, sigma, eps, tol=1e-8):
     m.set_objective({lam: S})
     m.add_psd([(lam, lambda X: -X)], -np.eye(d, dtype=complex))   # Lambda <= 1
     m.add_psd([(lam, TrR)], (1 - eps) * np.ones((1, 1)))
-    sol = m.solve(tol=min(tol, 1e-8), label="hypothesis-testing")
+    sol = m.solve(tol=1e-8, label="hypothesis-testing")
     v = sol.primal_value
-    if v < max(1e-10, 10 * tol):
+    if v < 1e-7:
         return INF
     return float(-np.log2(v))
 
 
-def conditional_entropy(rho, dims, cond, base='bits'):
+def conditional_entropy(rho, dims, cond):
     """S(rest | cond) for the subsystem split dims."""
     R = as_matrix(rho)
     cond = sorted(set(cond))
     Rc = linalg.partial_trace(R, dims, cond)
-    return entropy(R, base) - entropy(Rc, base)
+    return entropy(R) - entropy(Rc)
 
 
-def mutual_information(rho, dims, base='bits'):
+def mutual_information(rho, dims):
     """I(A;B) for a bipartite split dims = (dA, dB)."""
     R = as_matrix(rho)
     if len(dims) != 2:
         raise ValueError("expected a bipartite split")
-    SA = entropy(linalg.partial_trace(R, dims, [0]), base)
-    SB = entropy(linalg.partial_trace(R, dims, [1]), base)
-    return SA + SB - entropy(R, base)
+    SA = entropy(linalg.partial_trace(R, dims, [0]))
+    SB = entropy(linalg.partial_trace(R, dims, [1]))
+    return SA + SB - entropy(R)
 
 
-def conditional_mutual_information(rho, dims, base='bits'):
+def conditional_mutual_information(rho, dims):
     """I(A;B|C) for a tripartite split dims = (dA, dB, dC)."""
     R = as_matrix(rho)
     if len(dims) != 3:
         raise ValueError("expected a tripartite split")
-    SAC = entropy(linalg.partial_trace(R, dims, [0, 2]), base)
-    SBC = entropy(linalg.partial_trace(R, dims, [1, 2]), base)
-    SC = entropy(linalg.partial_trace(R, dims, [2]), base)
-    return SAC + SBC - entropy(R, base) - SC
+    SAC = entropy(linalg.partial_trace(R, dims, [0, 2]))
+    SBC = entropy(linalg.partial_trace(R, dims, [1, 2]))
+    SC = entropy(linalg.partial_trace(R, dims, [2]))
+    return SAC + SBC - entropy(R) - SC
 
 
-def coherent_information(rho, dims, base='bits'):
+def coherent_information(rho, dims):
     """I(A>B) = S(B) - S(AB) for dims = (dA, dB)."""
     R = as_matrix(rho)
-    SB = entropy(linalg.partial_trace(R, dims, [1]), base)
-    return SB - entropy(R, base)
+    SB = entropy(linalg.partial_trace(R, dims, [1]))
+    return SB - entropy(R)
 
 
 def cq_state(probs, states):
@@ -230,12 +230,12 @@ def cq_state(probs, states):
     return out
 
 
-def holevo(probs, states, base='bits'):
+def holevo(probs, states):
     """Holevo quantity S(avg) - sum p S(rho_x)."""
     probs = np.asarray(probs, dtype=float)
     avg = sum(p * as_matrix(st) for p, st in zip(probs, states))
-    return entropy(avg, base) - float(sum(p * entropy(st, base)
-                                          for p, st in zip(probs, states) if p > 0))
+    return entropy(avg) - float(sum(p * entropy(st)
+                                    for p, st in zip(probs, states) if p > 0))
 
 
 def rel_entropy_variance(rho, sigma):

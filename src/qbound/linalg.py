@@ -3,11 +3,11 @@
 Eigendecompositions, matrix functions restricted to the support and
 their Frechet derivatives, tensor-product bookkeeping (kron / partial
 trace / partial transpose) and Schatten norms. Everything works on plain
-numpy arrays; subsystem 0 is the most significant tensor index
-throughout. partial_trace, partial_transpose and permute_systems also take
-a (..., d, d) stack of matrices and return the stack of results; the
-functions with a per-matrix support cut or tolerance (check_hermitian,
-eigh, matrix_fn_on_support) take one square matrix only.
+numpy arrays (as_matrix); subsystem 0 is the most significant tensor index
+throughout. check_hermitian, partial_trace, partial_transpose and
+permute_systems also take a (..., d, d) stack of matrices and return the
+stack of results; eigh and matrix_fn_on_support, with a per-matrix support
+cut, take one square matrix only.
 """
 import numpy as np
 
@@ -17,8 +17,14 @@ TIE_CUT = 1e-8  # about sqrt(machine eps): relative gap below which eigenvalues 
 FLOOR = 1e-12  # relative eigenvalue floor of floored_eigh
 
 
+def as_matrix(M):
+    """The complex array of an array-like, or of the .matrix that a
+    qcore.DensityOperator carries (that object itself, not a copy)."""
+    return np.asarray(getattr(M, "matrix", M), dtype=complex)
+
+
 def _as_matrix(M):
-    M = np.asarray(M, dtype=complex)
+    M = as_matrix(M)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("expected a square matrix or a stack of them, got "
                          "shape %s" % (M.shape,))
@@ -28,14 +34,13 @@ def _as_matrix(M):
 
 
 def check_hermitian(H, tol=HERM_TOL):
-    """Symmetrize H after checking it is Hermitian within tol."""
+    """Symmetrize H, a square matrix or a (..., d, d) stack, after checking
+    it is Hermitian within tol times max(1, max |H_ij|) over the stack."""
     H = _as_matrix(H)
-    if H.ndim != 2:
-        raise ValueError("expected one square matrix, got shape %s" % (H.shape,))
-    scale = max(1.0, np.abs(H).max())
-    if np.abs(H - H.conj().T).max() > tol * scale:
+    Hh = H.swapaxes(-1, -2).conj()
+    if np.abs(H - Hh).max() > tol * max(1.0, np.abs(H).max()):
         raise ValueError("matrix is not Hermitian within tolerance")
-    return (H + H.conj().T) / 2
+    return (H + Hh) / 2
 
 
 def eigh(H):
@@ -46,6 +51,8 @@ def eigh(H):
     :return: (eigenvalues ascending, unitary matrix of column eigenvectors).
     """
     H = check_hermitian(H)
+    if H.ndim != 2:
+        raise ValueError("expected one square matrix, got shape %s" % (H.shape,))
     vals, vecs = np.linalg.eigh(H)
     return vals, vecs
 
@@ -211,7 +218,7 @@ def permute_systems(M, dims, perm):
 
 def schatten_norm(M, p):
     """Schatten p-norm for p in {1, 2, inf} via singular values."""
-    M = np.asarray(M, dtype=complex)
+    M = as_matrix(M)
     if M.ndim != 2 or not np.all(np.isfinite(M)):
         raise ValueError("expected a finite matrix")
     if p == 2:

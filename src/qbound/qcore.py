@@ -47,12 +47,11 @@ class DensityOperator:
     """
 
     def __init__(self, matrix, dims=None, subnormalized=False):
-        M = np.asarray(matrix, dtype=complex)
-        M = linalg.check_hermitian(M)
+        M = linalg.check_hermitian(matrix)
         if dims is None:
             dims = (M.shape[0],)
         dims = tuple(int(d) for d in dims)
-        if int(np.prod(dims)) != M.shape[0]:
+        if M.shape != (int(np.prod(dims)),) * 2:
             raise ValueError("dims inconsistent with matrix")
         w = np.linalg.eigvalsh(M)
         if w[0] < -TOL * max(1.0, w[-1]):
@@ -66,21 +65,6 @@ class DensityOperator:
         self.matrix = M
         self.dims = dims
         self.subnormalized = subnormalized
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    def reduce(self, keep):
-        kept = tuple(self.dims[k] for k in sorted(set(keep)))
-        return DensityOperator(
-            linalg.partial_trace(self.matrix, self.dims, keep), kept,
-            subnormalized=self.subnormalized)
-
-
-def as_matrix(rho):
-    """The complex matrix of a DensityOperator or of any array-like."""
-    return rho.matrix if isinstance(rho, DensityOperator) else np.asarray(rho, dtype=complex)
 
 
 def random_density(d, rng, rank=None, dims=None):
@@ -112,7 +96,7 @@ class KrausChannel:
                 raise ValueError("Kraus operators exceed trace preservation")
 
     def apply(self, rho):
-        R = as_matrix(rho)
+        R = linalg.as_matrix(rho)
         out = sum(K @ R @ K.conj().T for K in self.kraus)
         return out
 
@@ -125,17 +109,17 @@ class ChoiOperator:
     """Choi matrix on R (x) out, J = sum_ij |i><j| (x) N(|i><j|)."""
 
     def __init__(self, matrix, in_dim):
-        M = linalg.check_hermitian(np.asarray(matrix, dtype=complex), tol=1e-8)
+        M = linalg.check_hermitian(matrix, tol=1e-8)
         in_dim = int(in_dim)
-        if M.shape[0] % in_dim:
-            raise ValueError("Choi dimension not divisible by in_dim")
+        if M.ndim != 2 or M.shape[0] % in_dim:
+            raise ValueError("expected one Choi matrix, dimension in_dim * k")
         self.matrix = M
         self.in_dim = in_dim
         self.out_dim = M.shape[0] // in_dim
 
     def output_of(self, rho):
         """Apply the channel through the Choi operator."""
-        R = as_matrix(rho)
+        R = linalg.as_matrix(rho)
         d, do = self.in_dim, self.out_dim
         T = self.matrix.reshape(d, do, d, do)
         return np.einsum('iajb,ij->ab', T, R)
@@ -255,14 +239,10 @@ def isometric_extension(ch):
     return IsometricExtension(U, ch.out_dim, env)
 
 
-def complementary(ch):
-    return isometric_extension(ch).complementary_channel()
-
-
 def apply_local(ch, rho, left, right):
     """(id_left (x) N (x) id_right)(rho): the channel on the middle factor
     of a state on (left, N's input, right)."""
-    R = as_matrix(rho)
+    R = linalg.as_matrix(rho)
     Ks = [np.kron(np.kron(np.eye(left), K), np.eye(right)) for K in ch.kraus]
     return sum(Kf @ R @ Kf.conj().T for Kf in Ks)
 
@@ -272,6 +252,8 @@ def apply_local(ch, rho, left, right):
 # ---------------------------------------------------------------------------
 
 def identity_channel(d):
+    if d < 1:
+        raise ValueError("identity channel needs d >= 1")
     return KrausChannel([np.eye(d, dtype=complex)])
 
 
@@ -333,11 +315,11 @@ def gadc(eta, theta):
     return KrausChannel([k1, k2, k3, k4])
 
 
-def dephasing(phi, p=0.5):
-    """With probability p, rotate |1> by e^{i phi}."""
+def dephasing(phi):
+    """With probability 1/2, rotate |1> by e^{i phi}."""
     Z = np.diag([1.0, np.exp(1j * phi)])
-    return KrausChannel([np.sqrt(1 - p) * np.eye(2, dtype=complex),
-                         np.sqrt(p) * Z])
+    return KrausChannel([np.sqrt(0.5) * np.eye(2, dtype=complex),
+                         np.sqrt(0.5) * Z])
 
 
 def swap_operator(d=2):
@@ -511,7 +493,7 @@ def teleport_simulate(ch, rho_in, in_rep=None, out_rep=None):
         raise ValueError("channel not covariant under the given reps "
                          "(residual %.2e)" % res)
 
-    R = as_matrix(rho_in)
+    R = linalg.as_matrix(rho_in)
     J = choi_of(base).matrix
     omega = J / d  # normalized Choi resource on R (x) out
     do = base.out_dim

@@ -18,8 +18,9 @@ import numpy as np
 from . import linalg, sdp
 from .infomeasures import (binary_entropy, relative_entropy,
                            sandwiched_objective)
+from .linalg import as_matrix
 from .qcore import (BipartiteChannel, DensityOperator, KrausChannel,
-                    apply_local, as_matrix, choi_of, hw_group,
+                    apply_local, choi_of, hw_group,
                     isotypic_blocks, max_ent_state)
 
 
@@ -292,16 +293,16 @@ def _emax_ppt_program(dims):
     return m, S
 
 
-def emax_ppt(rho, dims, tol=1e-8):
+def emax_ppt(rho, dims):
     """
     PPT relaxation of the max-relative entropy of entanglement.
 
     minimize log2 Tr{sigma''} s.t. sigma'' >= rho, sigma'' >= 0,
-    T_B sigma'' >= 0. Lower-bounds the SEP-based quantity.
+    T_B sigma'' >= 0 (SDP tolerance 1e-8). Lower-bounds the SEP-based one.
     """
     m, _ = _program(_emax_ppt_program, tuple(map(int, dims)))
-    sol = m.with_data(rhs={0: as_matrix(rho)}).solve(tol=tol,
-                                                     label="emax_ppt")
+    sol = m.with_data(rhs={0: as_matrix(rho)}).solve(
+        tol=1e-8, label="emax_ppt")
     return float(np.log2(max(sol.primal_value, 1e-300)))
 
 
@@ -477,12 +478,13 @@ def sandwiched_rains(rho, dims, alpha):
             "iterations": its, "converged": ok}
 
 
-def amortization_spotcheck(N, rho, dims, tol=1e-8):
+def amortization_spotcheck(N, rho, dims):
     """
     Check the amortization inequality for one state and channel.
 
     R_max(L_A A ; B L_B) of the output is at most the input max-Rains
-    plus the bidirectional max-Rains of the channel.
+    plus the bidirectional max-Rains of the channel. The state SDPs are
+    solved to tolerance 1e-8, the channel's to rmax_bidirectional's 1e-9.
 
     :param rho: state on (L_A, A', B', L_B).
     :param dims: those four dimensions.
@@ -491,8 +493,8 @@ def amortization_spotcheck(N, rho, dims, tol=1e-8):
     la, ain, bin_, lb = dims
     a, b = N.out_split
     out = apply_local(N.channel, R, la, lb)
-    r_in, _ = rmax_state(R, (la * ain, bin_ * lb), tol=tol)
-    r_out, _ = rmax_state(out, (la * a, b * lb), tol=tol)
+    r_in, _ = rmax_state(R, (la * ain, bin_ * lb))
+    r_out, _ = rmax_state(out, (la * a, b * lb))
     r_ch = rmax_bidirectional(N)["value"]
     slack = r_in + r_ch - r_out
     return {"input": r_in, "output": r_out, "channel": r_ch,

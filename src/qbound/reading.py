@@ -14,7 +14,8 @@ from .infomeasures import (_relative_entropies, cq_state, entropy, g_fn,
                            holevo, mutual_information, coherent_information,
                            conditional_mutual_information, relative_entropy,
                            rel_entropy_variance, sandwiched_objective)
-from .qcore import (GroupRep, IsometricExtension, apply_local, as_matrix,
+from .linalg import as_matrix
+from .qcore import (GroupRep, IsometricExtension, apply_local,
                     choi_of, covariance_check, depolarizing,
                     erasure_wiretap_isometry, gadc, isometric_extension, ket,
                     max_ent_vector, hw_group, zero_error_pair)

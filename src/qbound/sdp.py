@@ -636,15 +636,15 @@ class Model:
             r0 = r1
         return A
 
-    def solve(self, tol=DEFAULT_TOL, max_iter=MAX_ITER, label="model"):
+    def solve(self, tol=DEFAULT_TOL, label="model"):
         """Compile and solve; return the solution if it counts (see the
         module docstring), else raise ArithmeticError naming label. Its
         primal_blocks hold one full-size matrix per variable, each real
         block folded back to its n x n Hermitian block first, and its
         multipliers one full-size Hermitian multiplier per constraint, in
         the order add_eq and add_psd were called (see the class
-        docstring)."""
-        sol = solve(self.compile(), tol=tol, max_iter=max_iter)
+        docstring). The solve stops after at most MAX_ITER iterations."""
+        sol = solve(self.compile(), tol=tol, max_iter=MAX_ITER)
         if sol.status == "optimal" or (sol.status == "numerical_limit"
                                        and sol.gap <= max(100 * tol, 1e-7)):
             blocks = [(X[:n, :n] + X[n:, n:]) / 2

@@ -127,9 +127,14 @@ def test_depolarizing_trivial_dimension_exit_code(capsys, cmd, d):
                                  ["capacity", "--cell", "erasure"],
                                  ["nonunitarity", "--channel", "erasure"],
                                  ["private-rate"],
-                                 ["rains-state", "--state", "max-ent"]],
+                                 ["rains-state", "--state", "max-ent"],
+                                 ["rains-channel", "--channel", "identity"],
+                                 ["capacity", "--cell", "identity"],
+                                 ["nonunitarity", "--channel", "identity"]],
                          ids=["rains-channel", "capacity", "nonunitarity",
-                              "private-rate", "rains-state"])
+                              "private-rate", "rains-state",
+                              "rains-channel-identity", "capacity-identity",
+                              "nonunitarity-identity"])
 def test_erasure_empty_dimension_exit_code(capsys, cmd, d):
     with pytest.raises(SystemExit) as e:
         cli.main(cmd + ["--d", d])
@@ -156,11 +161,19 @@ def test_product_state_empty_dimension_exit_code(capsys, d):
     (["rains-state", "--state", "isotropic", "--param", "2"], "--param"),
     (["rains-state", "--state", "isotropic", "--param", "-0.5"], "--param"),
     (["dynamics", "--t-max", "-1"], "--t-max"),
+    (["secure-read", "--eta0", "2"], "--eta0"),
+    (["secure-read", "--eta1", "-0.34"], "--eta1"),
+    (["secure-read", "--kind", "gadc", "--eta0", "-0.1"], "--eta0"),
+    (["secure-read", "--kind", "gadc", "--eta1", "1.5"], "--eta1"),
 ], ids=["t-max-nan", "omega-nan", "t-max-inf", "q-overflow", "phi-nan",
-        "param-above-1", "param-below-psd", "t-max-negative"])
+        "param-above-1", "param-below-psd", "t-max-negative",
+        "eta0-above-1", "eta1-below-cp", "gadc-eta0-negative",
+        "gadc-eta1-above-1"])
 def test_unusable_number_exit_code(capsys, argv, option):
     # a non-finite number, a non-PSD isotropic state (d = 2 needs
-    # param >= -1/3) and a negative time are refused, naming the option
+    # param >= -1/3), a negative time and a cell transmissivity outside its
+    # channel's range (a qubit depolarizing cell takes eta >= -1/3, a GADC
+    # eta >= 0) are refused, naming the option
     with pytest.raises(SystemExit) as e:
         cli.main(argv)
     assert e.value.code == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qbound import linalg
+from qbound import linalg, qcore
 
 
 def random_herm(d, rng):
@@ -163,6 +163,29 @@ def test_spectral_functions_reject_stacks(rng):
         linalg.eigh(S)
     with pytest.raises(ValueError):
         linalg.matrix_fn_on_support(S, np.exp)
+
+
+def test_check_hermitian_on_stack(rng):
+    # one scale over the whole stack; each symmetrized member is the one
+    # the single-matrix call returns
+    S = np.array([random_herm(3, rng) for _ in range(4)])
+    S = S + 1e-13 * rng.standard_normal(S.shape)
+    out = linalg.check_hermitian(S)
+    assert out.shape == S.shape
+    for M, H in zip(S, out):
+        assert np.array_equal(linalg.check_hermitian(M), H)
+    scale = max(1.0, np.abs(S).max())
+    S[2, 0, 1] += 10 * linalg.HERM_TOL * scale
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.check_hermitian(S)
+
+
+def test_as_matrix(rng):
+    rho = qcore.random_density(3, rng)
+    assert linalg.as_matrix(rho) is rho.matrix
+    M = linalg.as_matrix([[1.0, 2.0], [2.0, 0.0]])
+    assert M.dtype == complex
+    assert np.array_equal(M, [[1, 2], [2, 0]])
 
 
 def test_schatten_norms(rng):

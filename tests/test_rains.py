@@ -468,14 +468,16 @@ def _qutrit_product():
 
 @pytest.mark.parametrize("make", [_nearly_pure_qubit_product, _qutrit_product])
 def test_rains_relative_entropy_product_states_converge(make):
-    # a product state is PPT, so Frank-Wolfe starts at its minimizer; from
-    # I/n (test_frank_wolfe_one_lmo_call_per_iteration) sigma = rho lies in
-    # a face of PPT', where vanilla Frank-Wolfe zig-zags to max_iter=500
+    # a product state is PPT, so its minimizer rho/||T_B rho||_1 is returned
+    # with no Frank-Wolfe step and a gap within the PPT shortcut's certified
+    # width; away steps from I/n are checked by
+    # test_frank_wolfe_one_lmo_call_per_iteration
     rho, dims = make()
     res = rains.rains_relative_entropy(rho, dims)
     assert res["converged"]
     assert abs(res["value"]) < 1e-4
-    assert res["iterations"] <= 100
+    assert res["iterations"] == 0
+    assert 0 <= res["gap"] <= 1.5e-12
     assert rains.ppt_prime_member(res["sigma"], dims, slack=1e-6)
 
 
