@@ -246,32 +246,50 @@ def witness_f(gen, t, rho):
     projector of support_projector, the log on the support of
     entropy_rate and the projector form of markov_lower_bound. The value
     is +inf where L_t(rho) moves weight into the kernel (the rank grows).
+    The Liouville matrix L(t) is formed once per time and gives both
+    L(rho) and L^dag(rho), and one batched eigendecomposition covers
+    every state, so a whole trajectory costs one call.
 
-    :param rho: one (d, d) state or a (k, d, d) stack.
-    :return: a float, or an array of k values for a stack.
+    :param t: one time, or a 1-D array of times, one per entry of rho's
+        leading axis (a (T, k, d, d) trajectory, say).
+    :param rho: one (d, d) state or a (..., d, d) stack.
+    :return: a float for one state, else an array shaped rho.shape[:-2].
+    :raises ValueError: for a time array that is not 1-D or does not
+        match rho's leading axis, and where a state has a retained
+        negative eigenvalue and its rank does not grow (the log is
+        undefined there).
     """
     R = linalg.check_hermitian(rho)
-    rhodot = gen.apply(t, R)
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim == 0:
+        L = gen.liouvillian(t)
+    elif ts.ndim == 1 and R.ndim > 2 and len(ts) == len(R):
+        L = np.array([gen.liouvillian(s) for s in ts])
+    else:
+        raise ValueError("times of shape %s do not match states of shape %s"
+                         % (ts.shape, R.shape))
+    flat = R.reshape(L.shape[:-2] + (-1, L.shape[-1]))
+    rhodot = (flat @ L.swapaxes(-1, -2)).reshape(R.shape)
+    back = (flat @ L.conj()).reshape(R.shape)  # L^dag(rho)
     w, V = np.linalg.eigh(R)
     tiny = np.finfo(float).tiny
     keep = w > PROJECTOR_CUT * np.maximum(w.max(-1, keepdims=True), tiny)
     on = np.abs(w) > linalg.SUPPORT_CUT * np.maximum(
         np.abs(w).max(-1, keepdims=True), tiny)
-    with np.errstate(invalid='ignore', divide='ignore'):
-        log_w = np.where(on, np.log(w), 0.0)  # nan at negative eigenvalues
 
     def diag(X):  # diagonal of V^dag X V
         return np.real((V.conj() * (X @ V)).sum(-2))
 
     d_dot = diag(rhodot)
     kern_gain = np.where(keep, 0.0, d_dot).sum(-1)
-    rate = -(log_w * d_dot).sum(-1)
-    bound = -np.where(keep, diag(gen.adjoint_apply(t, R)), 0.0).sum(-1)
     # rank is increasing: the entropy rate diverges to +inf and the
     # support-restricted formula would undershoot it
-    f = np.where(kern_gain > 1e-12, math.inf, rate - bound)
-    if np.isnan(f).any():
+    grows = kern_gain > 1e-12
+    if ((on & (w < 0)).any(-1) & ~grows).any():
         raise ValueError("function undefined at a retained eigenvalue")
+    rate = -(np.log(np.where(on & (w > 0), w, 1.0)) * d_dot).sum(-1)
+    bound = -np.where(keep, diag(back), 0.0).sum(-1)
+    f = np.where(grows, math.inf, rate - bound)
     return float(f) if f.ndim == 0 else f
 
 
@@ -295,7 +313,8 @@ def nonmarkov_measure(gen, t_max, n_steps=200, states=None):
     Lower bound on a non-Markovianity measure: the integral of the
     negative part of the witness along the trajectory, maximized over a
     grid of initial states (Bloch grid for qubits by default). All states
-    evolve together as one stack.
+    evolve together as one stack, and one witness_f call values the whole
+    (n_steps + 1, k, d, d) trajectory.
     """
     d = gen.hamiltonian(0.0).shape[0]
     if states is None:
@@ -304,7 +323,7 @@ def nonmarkov_measure(gen, t_max, n_steps=200, states=None):
         states = bloch_grid()
     ts = np.linspace(0.0, t_max, n_steps + 1)
     traj = evolve(gen, np.array([as_matrix(r) for r in states]), ts)
-    fs = np.array([witness_f(gen, t, r) for t, r in zip(ts, traj)])
+    fs = witness_f(gen, ts, np.array(traj))
     vals = np.trapezoid(np.maximum(0.0, -fs), ts, axis=0)
     i = int(np.argmax(vals))
     if vals[i] > 0:

@@ -217,11 +217,18 @@ def coherent_information(rho, dims):
     return SB - entropy(R)
 
 
-def cq_state(probs, states):
-    """Classical-quantum state sum_x p(x) |x><x| (x) rho_x."""
+def simplex_vector(probs):
+    """probs as a float array, checked to be a probability vector: no entry
+    below -1e-12 and a sum within 1e-12 of 1."""
     probs = np.asarray(probs, dtype=float)
     if probs.min() < -1e-12 or abs(probs.sum() - 1) > 1e-12:
         raise ValueError("probabilities must form a simplex vector")
+    return probs
+
+
+def cq_state(probs, states):
+    """Classical-quantum state sum_x p(x) |x><x| (x) rho_x."""
+    probs = simplex_vector(probs)
     n = len(probs)
     d = as_matrix(states[0]).shape[0]
     out = np.zeros((n * d, n * d), dtype=complex)
@@ -231,8 +238,9 @@ def cq_state(probs, states):
 
 
 def holevo(probs, states):
-    """Holevo quantity S(avg) - sum p S(rho_x)."""
-    probs = np.asarray(probs, dtype=float)
+    """Holevo quantity S(avg) - sum p S(rho_x), equal to the mutual
+    information I(X;B) of cq_state(probs, states)."""
+    probs = simplex_vector(probs)
     avg = sum(p * as_matrix(st) for p, st in zip(probs, states))
     return entropy(avg) - float(sum(p * entropy(st)
                                     for p, st in zip(probs, states) if p > 0))

@@ -80,6 +80,19 @@ def test_secure_read_csv(capsys):
     assert ndi == pytest.approx(1000 * di, abs=1e-12)
 
 
+@pytest.mark.parametrize("argv", [["--eta0=-1/3"],
+                                  ["--d", "3", "--eta0=-0.125"]],
+                         ids=["qubit", "qutrit"])
+def test_secure_read_blank_cell_at_range_edge(capsys, argv):
+    # the lowest eta0 the depolarizing cell takes: the blank output has a
+    # kernel that the mixture fills, so both parameters are inf
+    code, out, err = run(capsys, "secure-read", *argv)
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out.split("\n", 1)[1])))
+    assert len(rows) == 1
+    assert float(rows[0]["D_I"]) == float(rows[0]["D_C"]) == float("inf")
+
+
 def test_rains_state_product(capsys):
     code, out, _ = run(capsys, "rains-state", "--state", "product")
     assert code == 0

@@ -225,6 +225,61 @@ def test_witness_f_infinite_when_rank_grows():
     assert dyn.witness_f(gen, 0.0, rho) == math.inf
 
 
+def test_witness_f_time_array_matches_per_time_calls(rng):
+    # time-dependent H, rate and jump operator, so each time has its own L(t)
+    H0 = random_lindblad(2, rng).hamiltonian(0.0)
+    A = np.array([[0, 1], [0, 0]], dtype=complex)
+    gen = dyn.LindbladGenerator(
+        lambda t: (1 + t) * H0,
+        [(lambda t: 0.4 + math.cos(3 * t), A),
+         (0.3, lambda t: np.diag([1.0, np.exp(1j * t)]))])
+    ts = np.linspace(0.0, 1.0, 6)
+    states = [qcore.random_density(2, rng).matrix for _ in range(3)]
+    states.append(np.diag([0.0, 1.0]).astype(complex))  # pure: the rank grows
+    traj = np.array(dyn.evolve(gen, np.array(states), ts))
+    got = dyn.witness_f(gen, ts, traj)
+    want = np.array([dyn.witness_f(gen, t, r) for t, r in zip(ts, traj)])
+    assert got.shape == (len(ts), len(states))
+    assert got[0, -1] == math.inf
+    np.testing.assert_array_equal(got, want)
+    # a (T, d, d) trajectory of one state
+    got = dyn.witness_f(gen, ts, traj[:, 0])
+    want = [dyn.witness_f(gen, t, r) for t, r in zip(ts, traj[:, 0])]
+    np.testing.assert_array_equal(got, want)
+
+
+def test_witness_f_rejects_mismatched_times(rng):
+    gen = random_lindblad(2, rng)
+    traj = np.array([qcore.random_density(2, rng).matrix for _ in range(4)])
+    for t in (np.zeros(3), np.zeros(5), np.zeros((4, 1))):
+        with pytest.raises(ValueError, match="do not match"):
+            dyn.witness_f(gen, t, traj)
+    with pytest.raises(ValueError, match="do not match"):
+        dyn.witness_f(gen, np.zeros(2), traj[0])
+
+
+def test_witness_f_rejects_retained_negative_eigenvalue():
+    # no dynamics at all, so the rank does not grow and the log is needed
+    gen = dyn.LindbladGenerator(np.zeros((2, 2)))
+    bad = np.diag([0.6, -0.4]).astype(complex)
+    with pytest.raises(ValueError, match="retained eigenvalue"):
+        dyn.witness_f(gen, 0.0, bad)
+    with pytest.raises(ValueError, match="retained eigenvalue"):
+        dyn.witness_f(gen, [0.0, 1.0], np.array([np.eye(2) / 2, bad]))
+
+
+def test_nonmarkov_measure_one_witness_call(monkeypatch):
+    calls = []
+    witness = dyn.witness_f
+
+    def counted(gen, t, rho):
+        calls.append(np.shape(t))
+        return witness(gen, t, rho)
+    monkeypatch.setattr(dyn, "witness_f", counted)
+    dyn.nonmarkov_measure(damping_generator(), 1.0, n_steps=20)
+    assert calls == [(21,)]
+
+
 def test_nonmarkov_measure_vanishes_for_lindblad(rng):
     gen = damping_generator()
     rep = dyn.nonmarkov_measure(gen, 2.0, n_steps=60)

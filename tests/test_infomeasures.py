@@ -207,6 +207,11 @@ def test_holevo_and_cq_state():
     assert im.holevo(probs, states) == pytest.approx(1.0, abs=1e-12)
     tau = im.cq_state(probs, states)
     assert im.mutual_information(tau, (2, 2)) == pytest.approx(1.0, abs=1e-10)
+    # both refuse what is not a probability vector
+    for bad in ([0.7, 0.7], [1.5, -0.5]):
+        for fn in (im.holevo, im.cq_state):
+            with pytest.raises(ValueError, match="simplex"):
+                fn(bad, states)
 
 
 def test_rel_entropy_variance_classical():

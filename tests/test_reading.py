@@ -9,6 +9,7 @@ from scipy.optimize import minimize_scalar
 
 from qbound import infomeasures as im
 from qbound import linalg, qcore, reading
+from conftest import haar_isometry
 
 
 def bloch_state(theta, phi=0.0):
@@ -354,6 +355,35 @@ def test_erasure_wiretap_privacy():
         assert rate == pytest.approx(ci, abs=1e-9)
 
 
+def test_iso_outputs_match_partial_traces(rng):
+    # the old path, kept as the oracle: the outer product of the branch
+    # (1_L (x) V) psi and its two partial traces
+    for dL, din, dout, denv in ((1, 2, 2, 2), (2, 2, 2, 3), (3, 2, 3, 2)):
+        V = haar_isometry(dout * denv, din, rng)
+        iso = qcore.IsometricExtension(V, dout, denv)
+        n = dL * din
+        psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        psi /= np.linalg.norm(psi)
+        big = np.kron(np.eye(dL), V) @ psi
+        R = np.outer(big, big.conj())
+        dims = (dL, dout, denv)
+        joint, env = reading._iso_outputs(iso, psi)
+        np.testing.assert_allclose(
+            joint, linalg.partial_trace(R, dims, [0, 1]), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            env, linalg.partial_trace(R, dims, [2]), rtol=0, atol=1e-15)
+
+
+def test_wiretap_rates_refuse_non_simplex_probs():
+    cell = reading.hw_probe_cell(d=2, q=0.25)
+    psi = qcore.max_ent_vector(2)
+    for probs in ([0.7, 0.7, 0.0, 0.0], [1.2, -0.2, 0.0, 0.0]):
+        for rate in (reading.private_reading_rate_n1,
+                     reading.coherent_info_rate):
+            with pytest.raises(ValueError, match="simplex"):
+                rate(cell, probs, psi)
+
+
 def test_zero_error_certificate():
     rep = reading.zero_error_certificate()
     assert rep["ok"]
@@ -371,6 +401,21 @@ def test_secure_reading_depolarizing():
     zero = reading.secure_reading_deltas('depolarizing', q=0.0, N=10,
                                          eta0=0.8, eta1=0.7)
     assert zero["D_I"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d, eta0", [(2, -1 / 3), (3, -0.125), (2, 1.0)])
+def test_secure_reading_blank_cell_at_range_edge(d, eta0):
+    # at eta0 = 1 - d^2/(d^2 - 1) the blank output loses an eigenvalue
+    # (l1_0 = 0), at eta0 = 1 it is pure (l2_0 = 0): the mixture's support
+    # is larger, so both parameters and the closed form are inf
+    out = reading.secure_reading_deltas('depolarizing', q=0.005, N=1000,
+                                        eta0=eta0, eta1=0.7, d=d)
+    assert out["D_I"] == out["D_C"] == out["D_I_closed"] == math.inf
+    # equal cells: the l = l_0 = 0 terms drop and nothing is detectable
+    same = reading.secure_reading_deltas('depolarizing', q=0.005, N=1000,
+                                         eta0=eta0, eta1=eta0, d=d)
+    assert same["D_I_closed"] == 0.0
+    assert same["D_I"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_secure_reading_monotone_in_contrast():
