@@ -2,8 +2,7 @@
 
 Named computations and parameter sweeps with CSV or JSON output, plus a
 property-suite runner. Every sweep runs through _sweep: a start:end:count
-grid (fractions such as 4/3 allowed) or one value, on up to QBOUND_THREADS
-threads, rows in grid order and bytes independent of the thread count.
+grid (fractions such as 4/3 allowed) or one value, rows in grid order.
 Outputs are deterministic for a fixed seed. Exit codes: 0 success, 2
 argument error (a non-finite or out-of-range number included), 3 numerical
 failure (diagnostic JSON on stderr).
@@ -13,7 +12,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 # One BLAS thread unless the caller sets a count: the thread count changes
@@ -82,12 +80,8 @@ def emit(args, meta, columns, rows):
 
 def _sweep(point, grid, value):
     """point's rows at each value of the start:end:count grid, or at value
-    alone when no grid is given, in grid order; the points run on up to
-    QBOUND_THREADS threads."""
-    xs = parse_grid(grid) if grid else [value]
-    n = max(1, int(os.environ.get("QBOUND_THREADS", "1")))
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(point, xs))
+    alone when no grid is given, in grid order."""
+    return [point(x) for x in (parse_grid(grid) if grid else [value])]
 
 
 # ---------------------------------------------------------------------------

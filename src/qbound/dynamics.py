@@ -208,25 +208,21 @@ def entropy_rate(rho, rhodot):
 PROJECTOR_CUT = 1e-10  # support projector cut, relative to the top eigenvalue
 
 
-def support_projector(rho):
-    R = as_matrix(rho)
-    w, V = linalg.eigh(R)
-    keep = w > PROJECTOR_CUT * max(w.max(), np.finfo(float).tiny)
-    Vk = V[:, keep]
-    return Vk @ Vk.conj().T
-
-
 def markov_lower_bound(gen, t, rho, method="projector"):
     """
-    Lower bound on the entropy rate under divisible dynamics.
+    Lower bound on the entropy rate under divisible dynamics, the
+    thesis's entropy-change bound; witness_f is the rate minus it.
 
     projector form: -Tr{Pi_t L_t^dag(rho_t)} with Pi_t the support
-    projector. commutator form (full-rank states): the same number as
+    projector (eigenvalues above PROJECTOR_CUT times the largest).
+    commutator form (full-rank states): the same number as
     sum_i gamma_i <[A_i^dag, A_i]>.
     """
     R = as_matrix(rho)
     if method == "projector":
-        Pi = support_projector(R)
+        w, V = linalg.eigh(R)
+        Vk = V[:, w > PROJECTOR_CUT * max(w.max(), np.finfo(float).tiny)]
+        Pi = Vk @ Vk.conj().T
         return float(-np.real(np.trace(Pi @ gen.adjoint_apply(t, R))))
     if method == "commutator":
         val = 0.0
@@ -243,8 +239,8 @@ def witness_f(gen, t, rho):
     witness departure from (completely) divisible dynamics.
 
     One eigendecomposition of rho gives all three parts: the support
-    projector of support_projector, the log on the support of
-    entropy_rate and the projector form of markov_lower_bound. The value
+    projector and the projector form of markov_lower_bound, and the log
+    on the support of entropy_rate. The value
     is +inf where L_t(rho) moves weight into the kernel (the rank grows).
     The Liouville matrix L(t) is formed once per time and gives both
     L(rho) and L^dag(rho), and one batched eigendecomposition covers
@@ -510,24 +506,3 @@ def unitarity_gap_check(ch, U):
     bound = math.sqrt(2 * delta) + delta
     return {"delta": delta, "nonunitarity": lhs, "bound": bound,
             "holds": lhs <= bound + 1e-7}
-
-
-def gaussian_rate_limit(kind, N=None):
-    """
-    Sign of the long-time entropy-rate limit for single-mode bosonic
-    semigroups, from the gain/loss rate pair (gamma_plus, gamma_minus).
-
-    amplifier: (N+1, N) -> +1; lossy: (N, N+1) -> -1;
-    additive (unital): equal rates -> 0.
-    """
-    if kind == "amplifier":
-        gp, gm = float(N) + 1, float(N)
-    elif kind == "lossy":
-        gp, gm = float(N), float(N) + 1
-    elif kind == "additive":
-        gp = gm = 1.0
-    else:
-        raise ValueError("unknown kind %r" % kind)
-    diff = gp - gm
-    return {"gamma_plus": gp, "gamma_minus": gm,
-            "sign": int(np.sign(diff))}

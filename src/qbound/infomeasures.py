@@ -267,11 +267,13 @@ def fidelity(rho, sigma):
 
 
 def trace_distance(rho, sigma):
+    """T = ||rho - sigma||_1 / 2."""
     return 0.5 * linalg.schatten_norm(as_matrix(rho) - as_matrix(sigma), 1)
 
 
 def metric_checks(rho, sigma):
-    """Fuchs-van de Graaf and Pinsker inequalities, with slacks."""
+    """The Fuchs-van de Graaf inequalities 1 - sqrt(F) <= T <= sqrt(1 - F)
+    and Pinsker's inequality D >= (2T)^2 / (2 ln 2), with slacks."""
     F = fidelity(rho, sigma)
     T = trace_distance(rho, sigma)
     D = relative_entropy(rho, sigma)
@@ -287,6 +289,7 @@ def metric_checks(rho, sigma):
 
 
 def binary_entropy(eps):
+    """h2(eps) = -eps log2 eps - (1-eps) log2(1-eps)."""
     if not 0 <= eps <= 1:
         raise ValueError("argument outside [0, 1]")
     out = 0.0
@@ -297,7 +300,8 @@ def binary_entropy(eps):
 
 
 def g_fn(y):
-    """g(y) = (y+1) log2(y+1) - y log2 y, the bosonic entropy function."""
+    """g(y) = (y+1) log2(y+1) - y log2 y, the entropy of a thermal state
+    of mean photon number y."""
     if y < 0:
         raise ValueError("negative argument")
     if y == 0:
@@ -310,7 +314,8 @@ def g_fn(y):
 # ---------------------------------------------------------------------------
 
 def afw_check(rho, sigma, dims):
-    """Uniform continuity of conditional entropy for a bipartite split.
+    """Uniform continuity of conditional entropy for a bipartite split
+    (Alicki-Fannes-Winter).
 
     |S(A|B)_rho - S(A|B)_sigma| <= 2 eps log2 dA + g(eps), eps the trace
     distance. Returns the two sides and the slack.
@@ -323,26 +328,13 @@ def afw_check(rho, sigma, dims):
     return {"eps": eps, "lhs": lhs, "rhs": rhs, "slack": rhs - lhs}
 
 
-def _schmidt_aligned_unitary(psi, dims):
-    """Unitary on B aligning the Schmidt basis of psi with |Phi>.
-
-    With psi = sum_k s_k |u_k>|v_k>, the map W: |v_k> -> conj(|u_k>)
-    gives (1 x W)|psi> = sum_k s_k |u_k> conj(|u_k>), which has maximal
-    overlap (sum_k s_k)/sqrt(d) with the maximally entangled state.
-    """
-    dA, dB = dims
-    M = np.asarray(psi).reshape(dA, dB)
-    U, s, Vh = np.linalg.svd(M)
-    W = U.conj() @ Vh.conj()
-    return U, s, Vh, W
-
-
 def eeprop_check(psi, dims, eps):
     """Near-maximal entanglement entropy forces proximity to |Phi>.
 
-    Premise: S(A) >= (1-eps) log2 |A| for the pure state psi. The optimal
-    local unitary comes from Schmidt-basis alignment, with maximal
-    fidelity (sum_i sqrt(lambda_i) / sqrt(d))^2.
+    Premise: S(A) >= (1-eps) log2 |A| for the pure state psi. Claim: a
+    unitary on B brings psi within distance (2 eps ln|A|)^(1/4) of |Phi>.
+    The optimal local unitary comes from Schmidt-basis alignment, with
+    maximal fidelity (sum_i sqrt(lambda_i) / sqrt(d))^2.
     """
     dA, dB = dims
     psi = np.asarray(psi, dtype=complex)
@@ -350,52 +342,13 @@ def eeprop_check(psi, dims, eps):
     SA = entropy(rhoA)
     if SA < (1 - eps) * np.log2(dA):
         return {"applicable": False, "entropy_A": SA}
-    U, s, Vh, W = _schmidt_aligned_unitary(psi, dims)
+    # psi = sum_k s_k |u_k>|v_k>: W |v_k> = conj(|u_k>) makes (1 (x) W) psi
+    # = sum_k s_k |u_k> conj(|u_k>), the largest overlap with |Phi>
+    U, s, Vh = np.linalg.svd(psi.reshape(dA, dB))
+    W = U.conj() @ Vh.conj()
     F = float((np.sum(s) / np.sqrt(dA)) ** 2)
     dist = float(np.sqrt(max(1 - F, 0.0)))   # pure states saturate FvG
     bound = (2 * eps * np.log(dA)) ** 0.25
     return {"applicable": True, "entropy_A": SA, "fidelity": F,
             "distance": dist, "bound": bound, "slack": bound - dist,
             "unitary_B": W}
-
-
-def squashed_surrogate_check(rho, dims, eps):
-    """Mutual-information surrogate of the near-maximal-key normalization.
-
-    Premise: I(A;B)/2 >= (1-eps) log2 |A|. Follows the proof chain down
-    to the distance bound (2 sqrt(eps ln|A|))^{1/2} against the best
-    Schmidt-aligned maximally entangled state.
-    """
-    R = as_matrix(rho)
-    dA, dB = dims
-    half_mi = mutual_information(R, dims) / 2
-    if half_mi < (1 - eps) * np.log2(dA):
-        return {"applicable": False, "half_mutual_information": half_mi}
-    # chain: D(psi_AE || pi (x) psi_E) <= 2 eps log2 dA, through Pinsker
-    w, V = np.linalg.eigh(R)
-    w = np.clip(w, 0, None)
-    dE = int(np.sum(w > 1e-14)) or 1
-    psi = np.zeros(dA * dB * dE, dtype=complex)
-    kept = [k for k in range(len(w)) if w[k] > 1e-14]
-    for e, k in enumerate(kept):
-        vec = V[:, k]
-        for i in range(dA * dB):
-            psi[i * dE + e] += np.sqrt(w[k]) * vec[i]
-    full = np.outer(psi, psi.conj())
-    rho_AE = linalg.partial_trace(full, (dA, dB, dE), [0, 2])
-    rho_E = linalg.partial_trace(full, (dA, dB, dE), [2])
-    prod = np.kron(np.eye(dA) / dA, rho_E)
-    Dae = relative_entropy(rho_AE, prod)
-    l1 = 2 * trace_distance(rho_AE, prod)
-    # align a maximally entangled state with the top eigenvector of rho
-    top = V[:, -1]
-    _, _, _, W = _schmidt_aligned_unitary(top, dims)
-    phi = np.zeros(dA * dB, dtype=complex)
-    for i in range(dA):
-        phi += np.kron(np.eye(dA)[:, i], W.conj().T @ np.eye(dA)[:, i]) / np.sqrt(dA)
-    dist = trace_distance(R, np.outer(phi, phi.conj()))
-    bound = (2 * np.sqrt(eps * np.log(dA))) ** 0.5
-    return {"applicable": True, "half_mutual_information": half_mi,
-            "rel_ent_AE": Dae, "rel_ent_bound": 2 * eps * np.log2(dA),
-            "l1_AE": l1, "l1_bound": 2 * np.sqrt(eps * np.log(dA)),
-            "distance": dist, "bound": bound, "slack": bound - dist}

@@ -18,10 +18,6 @@ def ket(i, d):
     return v
 
 
-def maximally_mixed(d):
-    return np.eye(d, dtype=complex) / d
-
-
 def max_ent_vector(d, normalized=True):
     """|Phi> = (1/sqrt d) sum_i |ii> (or the unnormalized |Upsilon>)."""
     if d < 1:
@@ -541,7 +537,8 @@ def _conj_correction(U, in_rep, out_rep):
 
 
 def bidirectional_from_cell(channels):
-    """Controlled channel sum_x |x><x| (x) M^x with the control first.
+    """Controlled channel sum_x |x><x| (x) M^x with the control first: a
+    memory cell read as a bidirectional channel.
 
     :param channels: list of KrausChannel with common dims, one per symbol.
     :return: BipartiteChannel on (X (x) B') -> (X (x) B).

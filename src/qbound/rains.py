@@ -340,14 +340,6 @@ def ppt_prime_lmo(G, dims):
     return sol.primal_blocks[S]
 
 
-def ppt_prime_member(sigma, dims, slack=1e-8):
-    """Membership check sigma >= 0 and ||T_B sigma||_1 <= 1 + slack."""
-    S = np.asarray(sigma)
-    w = np.linalg.eigvalsh(S)
-    tb = linalg.schatten_norm(linalg.partial_transpose(S, dims, [1]), 1)
-    return w[0] >= -slack and tb <= 1 + slack
-
-
 def _rel_ent_gradient(R, sigma):
     """Gradient of sigma -> -Tr{R log2 sigma} (Daleckii-Krein), at sigma
     floored by linalg.floored_eigh."""
@@ -538,10 +530,6 @@ def privacy_test_operator(K, shield_dim, twists=None):
     U = _twist_unitary(K, twists or {}, shield_dim)
     phi_id = np.kron(max_ent_state(K), np.eye(shield_dim, dtype=complex))
     return U @ phi_id @ U.conj().T
-
-
-def privacy_overlap(Pi, rho):
-    return float(np.real(np.trace(np.asarray(Pi) @ as_matrix(rho))))
 
 
 def converse_rate_bounds(kind, quantity, n, eps, alpha=None):

@@ -10,8 +10,8 @@ import math
 import numpy as np
 
 from . import linalg
-from .infomeasures import (_relative_entropies, cq_state, entropy, g_fn,
-                           holevo, mutual_information, coherent_information,
+from .infomeasures import (_relative_entropies, cq_state, entropy, holevo,
+                           mutual_information, coherent_information,
                            conditional_mutual_information, relative_entropy,
                            rel_entropy_variance, sandwiched_objective,
                            simplex_vector)
@@ -82,27 +82,6 @@ def with_wiretaps(channels):
     """Cell with canonical isometric extensions attached."""
     ws = [isometric_extension(ch) for ch in channels]
     return MemoryCell(channels, wiretap=ws)
-
-
-class EnvCell:
-    """
-    Environment-parametrized cell: one fixed interaction channel F and
-    per-symbol ancilla states, with M_x(rho) = F(rho (x) theta_x).
-    """
-
-    def __init__(self, theta_states, interaction, cell=None):
-        self.theta = [as_matrix(t) for t in theta_states]
-        self.interaction = interaction
-        if cell is not None:
-            din = cell.in_dim
-            # the matrix units |i><j| of the cell input, as one stack
-            E = np.eye(din * din, dtype=complex).reshape(din, din, din, din)
-            for th, ch in zip(self.theta, cell.channels):
-                lhs = interaction.apply(np.kron(E, th))
-                if np.abs(lhs - ch.apply(E)).max() > 1e-9:
-                    raise ValueError("interaction does not "
-                                     "reproduce the cell channel")
-        self.cell = cell
 
 
 def covariant_cell_capacity(base_channel, group):
@@ -510,7 +489,10 @@ def secure_reading_deltas(kind, q, N, eta0, eta1, d=2, theta=0.5):
     e = q * e1 + (1 - q) * e0
     D_I = relative_entropy(w, w0)
     D_C = relative_entropy(e, e0)
-    out = {"D_I": D_I, "D_C": D_C, "N_D_I": N * D_I, "N_D_C": N * D_C}
+    # every state here is normalized, so D >= 0 (Klein's inequality); a
+    # negative value is rounding and is reported as 0
+    out = {"D_I": max(D_I, 0.0), "D_C": max(D_C, 0.0)}
+    out["N_D_I"], out["N_D_C"] = N * out["D_I"], N * out["D_C"]
     if kind == "depolarizing":
         l1_0 = eta0 + (1 - eta0) / d ** 2
         l2_0 = (1 - eta0) / d ** 2
@@ -534,10 +516,3 @@ def _rel_ent_term(l, l0):
     if l == 0:
         return 0.0
     return math.inf if l0 == 0 else l * math.log2(l / l0)
-
-
-def energy_constrained_bound(N_S):
-    """2 g(N_S) for a mean-photon-number constraint N_S."""
-    if N_S < 0:
-        raise ValueError("N_S must be nonnegative")
-    return float(2 * g_fn(N_S))

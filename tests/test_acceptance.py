@@ -319,7 +319,7 @@ def test_criterion_9_property_suites():
         rho0 = qcore.random_density(d, rng).matrix
         ts = np.linspace(0.0, 1.0, 8)
         traj = dyn.evolve(gen, rho0, ts)
-        if min(dyn.witness_f(gen, t, r) for t, r in zip(ts, traj)) < -1e-7:
+        if dyn.witness_f(gen, ts, np.array(traj)).min() < -1e-7:
             fails.append("markov bound trajectory %d" % i)
 
     # coherent-information identity on 50 purified ensembles

@@ -375,11 +375,3 @@ def test_unitarity_gap_check(rng):
     ch = qcore.depolarizing(2, 0.01)
     rep = dyn.unitarity_gap_check(ch, np.eye(2, dtype=complex))
     assert rep["holds"]
-
-
-def test_gaussian_rate_limit_signs():
-    assert dyn.gaussian_rate_limit('amplifier', 1.0)["sign"] == 1
-    assert dyn.gaussian_rate_limit('lossy', 1.0)["sign"] == -1
-    assert dyn.gaussian_rate_limit('additive')["sign"] == 0
-    with pytest.raises(ValueError):
-        dyn.gaussian_rate_limit('other', 1.0)

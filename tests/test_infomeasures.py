@@ -287,15 +287,6 @@ def test_eeprop_not_applicable_for_product():
     assert not rep["applicable"]
 
 
-def test_squashed_surrogate_check():
-    phi = qcore.max_ent_state(2)
-    rep = im.squashed_surrogate_check(phi, (2, 2), eps=0.05)
-    assert rep["applicable"]
-    assert rep["rel_ent_AE"] <= rep["rel_ent_bound"] + 1e-9
-    assert rep["l1_AE"] <= rep["l1_bound"] + 1e-9
-    assert rep["slack"] >= -1e-9
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_data_processing_all_divergences(seed):

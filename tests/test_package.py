@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 import pathlib
+import re
 
 import pytest
 
@@ -139,3 +140,42 @@ def test_every_defaulted_parameter_is_set_somewhere():
              if param not in keywords.get(name, ())
              and not (i is not None and i < n_pos.get(name, 0))]
     assert unset == []
+
+
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_definition_is_reached_or_public():
+    # A top-level definition in src/qbound is reached from cli.py, the
+    # acceptance criteria, the benchmark or module-level code, or a README
+    # module row names it as public; anything else only unit tests call.
+    # Reach follows the names that reached code uses, unresolved, so a
+    # same-named use anywhere in it counts as a call.
+    seen = set()
+    for row in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if row.startswith("| `qbound."):
+            seen.update(m.split(".")[-1] for m in re.findall(r"`([\w.]+)", row))
+    for path in [ROOT / "src" / "qbound" / "cli.py",
+                 ROOT / "tests" / "test_acceptance.py",
+                 *sorted((ROOT / "benchmark").glob("*.py"))]:
+        seen |= _names(ast.parse(path.read_text(encoding="utf-8")))
+    defs = {}
+    for path in sorted((ROOT / "src" / "qbound").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append((path.stem, node))
+            else:
+                seen |= _names(node)
+    reached, todo = set(), [name for name in seen if name in defs]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for _, node in defs[name] for n in _names(node)
+                     if n in defs]
+    unreached = ["%s.%s" % (module, name) for name, found in defs.items()
+                 for module, _ in found
+                 if name not in reached and not name.startswith("__")]
+    assert unreached == []

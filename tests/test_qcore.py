@@ -75,7 +75,7 @@ def test_erasure_wiretap_marginals():
     iso = qcore.erasure_wiretap_isometry(d, q)
     chB = iso.channel()
     ref = qcore.erasure(d, q)
-    rho = qcore.maximally_mixed(d)
+    rho = np.eye(d, dtype=complex) / d
     assert np.abs(chB.apply(rho) - ref.apply(rho)).max() < 1e-10
     # environment sees the complementary erasure
     chE = iso.complementary_channel()

@@ -244,15 +244,23 @@ def test_emax_ppt_max_ent():
         assert val == pytest.approx(np.log2(d), abs=1e-6)
 
 
+def _ppt_prime_member(sigma, dims, slack):
+    """sigma >= 0 and ||T_B sigma||_1 <= 1 + slack: sigma is in PPT'."""
+    S = np.asarray(sigma)
+    w = np.linalg.eigvalsh(S)
+    tb = linalg.schatten_norm(linalg.partial_transpose(S, dims, [1]), 1)
+    return w[0] >= -slack and tb <= 1 + slack
+
+
 def test_ppt_prime_lmo_and_membership(rng):
     phi = qcore.max_ent_state(2)
     # best overlap of a PPT' operator with the 2x2 max-ent state is 1/2
     sigma = rains.ppt_prime_lmo(-phi, (2, 2))
     ov = float(np.real(np.trace(sigma @ phi)))
     assert ov == pytest.approx(0.5, abs=1e-7)
-    assert rains.ppt_prime_member(sigma, (2, 2), slack=1e-6)
+    assert _ppt_prime_member(sigma, (2, 2), slack=1e-6)
     # the max-ent state itself is not PPT'
-    assert not rains.ppt_prime_member(phi, (2, 2), slack=1e-6)
+    assert not _ppt_prime_member(phi, (2, 2), slack=1e-6)
 
 
 def _lmo_uncached(G, dims, tol=1e-9):
@@ -310,7 +318,7 @@ def test_ppt_prime_lmo_matches_slack_form():
         value = np.trace(G @ sigma).real
         assert value == pytest.approx(
             np.trace(G @ _lmo_slack_form(G, dims)).real, abs=1e-7)
-        assert rains.ppt_prime_member(sigma, dims, slack=1e-7)
+        assert _ppt_prime_member(sigma, dims, slack=1e-7)
     for dims in ((2, 2), (2, 3)):
         n = int(np.prod(dims))
         sigma = rains.ppt_prime_lmo(np.eye(n), dims)
@@ -478,7 +486,7 @@ def test_rains_relative_entropy_product_states_converge(make):
     assert abs(res["value"]) < 1e-4
     assert res["iterations"] == 0
     assert 0 <= res["gap"] <= 1.5e-12
-    assert rains.ppt_prime_member(res["sigma"], dims, slack=1e-6)
+    assert _ppt_prime_member(res["sigma"], dims, slack=1e-6)
 
 
 @pytest.mark.parametrize("d, w", [(2, 0.85), (3, 0.7)])
@@ -518,7 +526,7 @@ def test_frank_wolfe_one_lmo_call_per_iteration(monkeypatch):
         assert iterations == len(calls)
         assert iterations <= 100  # away steps end the zig-zag from I/4
         assert (gap <= 1e-5) is converged
-        assert rains.ppt_prime_member(sigma, dims, slack=1e-6)
+        assert _ppt_prime_member(sigma, dims, slack=1e-6)
 
 
 def _pure_product(d, rng):
@@ -662,12 +670,12 @@ def test_private_state_overlap():
               (1, 0): np.diag([1.0, -1.0]).astype(complex)}
     gamma = rains.make_private_state(2, theta, twists)
     Pi = rains.privacy_test_operator(2, 2, twists)
-    assert rains.privacy_overlap(Pi, gamma) == pytest.approx(1.0, abs=1e-10)
+    assert np.trace(Pi @ gamma.matrix).real == pytest.approx(1.0, abs=1e-10)
     # classically correlated key state passes only with probability 1/K
     keys = np.zeros((4, 4), dtype=complex)
     keys[0, 0] = keys[3, 3] = 0.5
     cl = np.kron(keys, theta)
-    assert rains.privacy_overlap(Pi, cl) == pytest.approx(0.5, abs=1e-10)
+    assert np.trace(Pi @ cl).real == pytest.approx(0.5, abs=1e-10)
 
 
 def test_converse_rate_bounds():

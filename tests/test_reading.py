@@ -38,44 +38,6 @@ def test_with_wiretaps_consistency():
     assert all(abs(np.trace(o) - 1) < 1e-10 for o in outs)
 
 
-def test_env_cell_reproduction():
-    # interaction swaps probe and ancilla then discards the ancilla, so
-    # each symbol acts as the constant channel rho -> theta_x
-    S = qcore.swap_operator(2)
-    K = [np.kron(np.eye(2), qcore.ket(i, 2).reshape(1, 2)) @ S
-         for i in range(2)]
-    F = qcore.KrausChannel(K, check=False)
-    thetas = [np.diag([1.0, 0.0]).astype(complex),
-              np.diag([0.3, 0.7]).astype(complex)]
-    cell = reading.MemoryCell(
-        [qcore.KrausChannel(_constant_kraus(th)) for th in thetas])
-    env = reading.EnvCell(thetas, F, cell=cell)
-    assert env.cell is cell
-
-
-def _constant_kraus(theta):
-    """Kraus set of the constant channel rho -> theta for diagonal theta."""
-    w = np.diag(theta).real
-    K = []
-    for i, p in enumerate(w):
-        if p <= 0:
-            continue
-        for j in range(len(w)):
-            K.append(math.sqrt(p)
-                     * np.outer(qcore.ket(i, len(w)), qcore.ket(j, len(w)).conj()))
-    return K
-
-
-def test_env_cell_rejects_wrong_interaction():
-    thetas = [np.diag([1.0, 0.0]).astype(complex)]
-    ident = qcore.KrausChannel(
-        [np.kron(np.eye(2), qcore.ket(i, 2).reshape(1, 2)) for i in range(2)],
-        check=False)  # traces out the ancilla, leaves the probe
-    cell = reading.MemoryCell([qcore.KrausChannel(_constant_kraus(thetas[0]))])
-    with pytest.raises(ValueError):
-        reading.EnvCell(thetas, ident, cell=cell)
-
-
 def test_covariant_capacity_closed_forms():
     for d in (2, 3):
         for q in (0.0, 0.25, 0.5, 1.0):
@@ -432,11 +394,3 @@ def test_secure_reading_gadc():
                                         eta0=0.45, eta1=0.4, theta=0.5)
     assert out["D_I"] == pytest.approx(out["D_C"], abs=1e-9)
     assert out["D_I"] > 0
-
-
-def test_energy_constrained_bound():
-    assert reading.energy_constrained_bound(0.0) == 0.0
-    assert reading.energy_constrained_bound(1.0) == pytest.approx(4.0,
-                                                                  abs=1e-12)
-    with pytest.raises(ValueError):
-        reading.energy_constrained_bound(-0.1)
