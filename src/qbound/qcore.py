@@ -113,13 +113,6 @@ class ChoiOperator:
         self.in_dim = in_dim
         self.out_dim = M.shape[0] // in_dim
 
-    def output_of(self, rho):
-        """Apply the channel through the Choi operator."""
-        R = linalg.as_matrix(rho)
-        d, do = self.in_dim, self.out_dim
-        T = self.matrix.reshape(d, do, d, do)
-        return np.einsum('iajb,ij->ab', T, R)
-
 
 class IsometricExtension:
     """Isometry U: in -> out (x) env with U^dag U = 1."""
@@ -143,7 +136,8 @@ class IsometricExtension:
         return KrausChannel(K)
 
     def complementary_channel(self):
-        """Trace out the output."""
+        """The complementary channel N^c(rho) = Tr_out[U rho U^dag]: what the
+        environment, the wiretapper of private reading, receives."""
         K = [self.matrix.reshape(self.out_dim, self.env_dim, self.in_dim)[b, :, :]
              for b in range(self.out_dim)]
         return KrausChannel(K)

@@ -54,11 +54,6 @@ class MemoryCell:
     def __len__(self):
         return len(self.channels)
 
-    def output_states(self, probe):
-        """[N_x(probe)] for a probe on the cell input."""
-        P = as_matrix(probe)
-        return [ch.apply(P) for ch in self.channels]
-
     def probe_outputs(self, psi):
         """
         Joint (L, B) outputs for a pure probe vector on (L, input), and
@@ -245,10 +240,17 @@ def renyi_mutual_information(probs, states, alpha):
     sigma of the sandwiched divergence between the joint and
     p (x) sigma, by exponentiated-gradient descent on sigma, converged
     once the stationarity residual is at most 1e-7; at most 5000
-    iterations. Each candidate exp(log sigma - eta G) / Tr is made from one
-    eigendecomposition (_expm_density), whose eigenpairs, floored by
-    linalg.floored, give both its objective and the next log sigma, so no
-    sigma is eigendecomposed again.
+    iterations. The descent starts at sigma_0 = (sum_x p_x rho_x^alpha)^(1/alpha)
+    / Tr, the optimum whenever the states commute (Sibson's identity), so a
+    commuting ensemble stops at iteration 1. Each candidate
+    exp(log sigma - eta G) / Tr is made from one eigendecomposition
+    (_expm_density), whose eigenpairs, floored by linalg.floored, give both
+    its objective and the next log sigma, so no sigma is eigendecomposed
+    again. A candidate is accepted when its value is at most the current
+    one + 1e-15, or when it lies within the current value's rounding band,
+    64 eps max(1, |(alpha-1) val|) / (alpha-1), and its residual is smaller
+    than the current one, so rounding cannot stall the descent short of the
+    residual test.
 
     :return: dict with value (bits), sigma, stationarity residual.
     """
@@ -256,32 +258,53 @@ def renyi_mutual_information(probs, states, alpha):
         raise ValueError("alpha must exceed 1")
     probs = np.asarray(probs, dtype=float)
     states = [as_matrix(s) for s in states]
-    d = states[0].shape[0]
-    sigma = np.eye(d, dtype=complex) / d
-    eig = np.full(d, 1.0 / d), np.eye(d, dtype=complex)
+    sigma, eig = _sibson_start(probs, states, alpha)
     val, G = sandwiched_objective(sigma, probs, states, alpha, eig)
+    res = _stationarity_residual(sigma, G)
     eta = 1.0
-    res = np.inf
     for it in range(1, 5001):
-        res = float(np.real(np.trace(sigma @ G)) - np.linalg.eigvalsh(G).min())
         if res <= 1e-7:
             break
         stepped = False
         ws, Vs = eig
         L = (Vs * np.log(ws)) @ Vs.conj().T
+        band = 64 * np.finfo(float).eps * max(1.0, abs((alpha - 1) * val)) \
+            / (alpha - 1)
         for _ in range(60):
             cand, ceig = _expm_density(L - eta * G)
             cval, cG = sandwiched_objective(cand, probs, states, alpha, ceig)
-            if cval <= val + 1e-15:
-                sigma, eig, val, G = cand, ceig, cval, cG
-                eta = min(eta * 1.25, 1e3)
-                stepped = True
-                break
+            decrease = cval <= val + 1e-15
+            if decrease or cval <= val + band:
+                cres = _stationarity_residual(cand, cG)
+                if decrease or cres < res:
+                    sigma, eig, val, G, res = cand, ceig, cval, cG, cres
+                    eta = min(eta * 1.25, 1e3)
+                    stepped = True
+                    break
             eta *= 0.5
         if not stepped:
             break
     return {"value": val, "sigma": sigma, "residual": res,
             "iterations": it, "converged": res <= 1e-7}
+
+
+def _sibson_start(probs, states, alpha):
+    """(sum_{p_x > 0} p_x rho_x^alpha)^(1/alpha) / Tr and its eigenpairs, the
+    eigenvalues floored by linalg.floored; its support is the union of the
+    states' supports."""
+    on = probs > 0
+    r, U = np.linalg.eigh(np.array([s for s, k in zip(states, on) if k]))
+    r = np.maximum(r, 0.0) ** alpha * probs[on, None]
+    w, V = np.linalg.eigh(np.sum((U * r[:, None, :]) @ U.conj().swapaxes(1, 2),
+                                 axis=0))
+    w = np.maximum(w, 0.0) ** (1 / alpha)
+    w /= w.sum()
+    return (V * w) @ V.conj().T, (linalg.floored(w), V)
+
+
+def _stationarity_residual(sigma, G):
+    """Tr(sigma G) - lambda_min(G): zero exactly at the minimizer."""
+    return float(np.real(np.trace(sigma @ G)) - np.linalg.eigvalsh(G).min())
 
 
 def _expm_density(H):

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from qbound import dynamics as dyn
 from qbound import infomeasures as im

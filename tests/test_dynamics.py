@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from qbound import dynamics as dyn
 from qbound import infomeasures as im
-from qbound import linalg, qcore
+from qbound import qcore
 from conftest import random_channel
 
 

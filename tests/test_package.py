@@ -179,3 +179,27 @@ def test_every_definition_is_reached_or_public():
                  for module, _ in found
                  if name not in reached and not name.startswith("__")]
     assert unreached == []
+
+
+def test_every_import_is_used():
+    # Each name a module in src/qbound or tests imports is used there. A
+    # word in a string (a lazy-import table) counts as a use, and so does
+    # an argument name, for a fixture imported from another module.
+    unused = []
+    for path in [*sorted((ROOT / "src" / "qbound").glob("*.py")),
+                 *sorted((ROOT / "tests").glob("*.py"))]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno)
+                                for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.arg):
+                used.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(re.findall(r"\w+", node.value))
+        unused += ["%s:%d %s" % (path.name, line, name)
+                   for name, line in imported.items() if name not in used]
+    assert unused == []

@@ -14,13 +14,6 @@ def test_choi_channel_roundtrip(rng):
     assert np.abs(ch.apply(rho) - ch2.apply(rho)).max() < 1e-10
 
 
-def test_choi_output_of(rng):
-    ch = qcore.depolarizing(2, 0.37)
-    J = qcore.choi_of(ch)
-    rho = qcore.random_density(2, rng)
-    assert np.abs(J.output_of(rho.matrix) - ch.apply(rho)).max() < 1e-12
-
-
 def test_choi_of_bipartite_channel():
     # a BipartiteChannel has the dimensions of the channel it wraps
     N = qcore.cnot()

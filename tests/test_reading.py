@@ -1,5 +1,4 @@
 import functools
-import itertools
 import math
 import warnings
 
@@ -9,7 +8,7 @@ from scipy.optimize import minimize_scalar
 
 from qbound import infomeasures as im
 from qbound import linalg, qcore, reading
-from conftest import haar_isometry
+from conftest import haar_isometry, haar_unitary
 
 
 def bloch_state(theta, phi=0.0):
@@ -34,8 +33,8 @@ def test_with_wiretaps_consistency():
     cell = reading.with_wiretaps([qcore.depolarizing(2, 0.3),
                                   qcore.depolarizing(2, 0.8)])
     assert cell.wiretap is not None
-    outs = cell.output_states(np.eye(2) / 2)
-    assert all(abs(np.trace(o) - 1) < 1e-10 for o in outs)
+    joints, envs = cell.probe_outputs(qcore.max_ent_vector(2))
+    assert all(abs(np.trace(o) - 1) < 1e-10 for o in joints + envs)
 
 
 def test_covariant_capacity_closed_forms():
@@ -252,6 +251,46 @@ def test_renyi_mutual_information_diagonal_oracle():
     out = reading.renyi_mutual_information(probs, states, alpha)
     assert out["converged"]
     assert out["value"] == pytest.approx(sc.fun, abs=1e-6)
+
+
+def _sibson(probs, spectra, alpha):
+    """Closed form of a commuting ensemble with eigenvalues spectra[x]:
+    alpha/(alpha-1) log2 sum_b (sum_x p_x lambda_xb^alpha)^(1/alpha)."""
+    tot = np.sum(np.asarray(probs)[:, None] * np.asarray(spectra) ** alpha,
+                 axis=0)
+    return alpha / (alpha - 1) * np.log2(np.sum(tot ** (1 / alpha)))
+
+
+@pytest.mark.parametrize("alpha", [1.1, 2.0, 5.0])
+def test_renyi_mutual_information_commuting_closed_form(alpha):
+    # the descent starts at Sibson's optimizer, exact for commuting states;
+    # the third ensemble vanishes on a common level, where sigma_0 does too
+    # (from I/3 the descent stalled there at alpha = 5)
+    rng = np.random.default_rng(7)
+    rotated = (rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3), size=3),
+               haar_unitary(3, rng))
+    for probs, spectra, basis in (
+            ([0.5, 0.5], [[0.9, 0.1], [0.2, 0.8]], np.eye(2)), rotated,
+            ([0.3, 0.7], [[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]], np.eye(3))):
+        states = [(basis * w) @ basis.conj().T for w in spectra]
+        out = reading.renyi_mutual_information(probs, states, alpha)
+        assert out["converged"] and out["iterations"] == 1
+        assert out["value"] == pytest.approx(
+            _sibson(probs, spectra, alpha), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed,alpha", [(12, 1.01), (23, 1.1), (48, 10.0)])
+def test_renyi_mutual_information_no_rounding_stall(seed, alpha):
+    # full-rank ensembles on which a strict decrease test stalls at a
+    # residual of 1e-7 to 1e-6, where one step changes the value by less
+    # than its rounding; I_alpha >= I_1, the Holevo quantity
+    rng = np.random.default_rng(seed)
+    d, m = (int(x) for x in rng.integers(2, 5, size=2))
+    states = [qcore.random_density(d, rng).matrix for _ in range(m)]
+    probs = rng.dirichlet(np.ones(m))
+    out = reading.renyi_mutual_information(probs, states, alpha)
+    assert out["converged"] and out["residual"] <= 1e-7
+    assert out["value"] >= im.holevo(probs, states) - 1e-9
 
 
 def test_renyi_mutual_information_no_second_eigendecomposition(monkeypatch):
